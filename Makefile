@@ -30,9 +30,9 @@ bin/aapcvet: $(AAPCVET_SRCS)
 	$(GO) build -o $@ ./cmd/aapcvet
 
 # lint runs the project-specific analyzers (poolsafe, determinism,
-# waitcheck, noalloc, copycount, lockorder, spscsafe, shadow, copylocks,
-# loopclosure) over both build configurations via the go vet -vettool
-# protocol. Suppress a deliberate violation with an
+# waitcheck, noalloc, copycount, lockorder, spscsafe, shadow) over both
+# build configurations via the go vet -vettool protocol; stock copylocks
+# and loopclosure coverage comes from the vet target's plain go vet. Suppress a deliberate violation with an
 # //aapc:allow <analyzer> <reason> comment on (or one line above) the
 # flagged line; `make lint-audit` flags suppressions that have gone stale.
 lint: bin/aapcvet
@@ -79,11 +79,11 @@ bench-sim:
 	$(GO) test -bench=BenchmarkSimAAPC -benchmem -benchtime=1x -run=^$$ ./internal/simnet/
 
 # bench-transport measures the transport data plane: scheduled all-to-all
-# over the mem, shm and tcp transports across a world-size x message-size
-# grid, with copies/op tracking the zero-copy path; committed reference
+# over the mem and tcp transports across a world-size x message-size grid,
+# with copies/op tracking the tcp zero-copy path; committed reference
 # numbers live in BENCH_transport.json.
 bench-transport:
-	$(GO) test -bench 'BenchmarkMemAlltoall|BenchmarkShmAlltoall|BenchmarkTCPAlltoall' -run=^$$ -benchtime 30x ./internal/alltoall/
+	$(GO) test -bench 'BenchmarkMemAlltoall|BenchmarkTCPAlltoall' -run=^$$ -benchtime 30x ./internal/alltoall/
 	$(GO) test -bench 'BenchmarkBuildGreedy/N=64|BenchmarkBuildGreedy/N=256' -run=^$$ -benchtime 1x ./internal/schedule/
 
 # microbench runs the go-test benchmarks (paper tables/figures, transport

@@ -5,10 +5,12 @@
 //	go vet -vettool=$PWD/bin/aapcvet ./...
 //
 // It enforces the project invariants (poolsafe, determinism, waitcheck,
-// noalloc, copycount, lockorder, spscsafe) plus ports of the stock
-// shadow, copylocks, and loopclosure passes. Function summaries flow
-// across package boundaries through vet's facts channel, so poolsafe,
-// waitcheck, copycount, and lockorder see through call sites.
+// noalloc, copycount, lockorder, spscsafe) plus a port of the stock
+// shadow pass. Stock copylocks runs in plain `go vet` (the Makefile's vet
+// target), and loopclosure is moot at the module's go 1.22, so neither is
+// ported. Function summaries flow across package boundaries through vet's
+// facts channel, so poolsafe, waitcheck, copycount, and lockorder see
+// through call sites.
 //
 // Individual analyzers are disabled with -<name>=false; single findings
 // are suppressed in source with //aapc:allow <name> <reason>. Extra

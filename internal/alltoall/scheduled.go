@@ -298,9 +298,8 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 		marker := obsv.MarkerFor(c)
 		phaser := obsv.PhaserFor(c)
 
-		// Typed buffers + typed transport is the zero-copy fast path; the
-		// mpi package-level helpers fall back to pack/unpack transparently
-		// on transports without datatype support.
+		// Typed buffers hand the transport (base, datatype) views, so
+		// strided blocks move without pack staging.
 		tb, typed := b.(TypedBuffers)
 		// A Flusher transport lets emit-after-complete ride the wire-entry
 		// watermark (bytes handed to the kernel) instead of the delivery
@@ -318,12 +317,13 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 			if phaser != nil {
 				phaser.SetNextOpPhase(prog.recvPhases[i])
 			}
+			op := mpi.Op{Dir: mpi.DirRecv, Peer: src, Tag: tagData}
 			if typed {
-				base, dt := tb.RecvView(src)
-				recvReqs = append(recvReqs, mpi.IrecvTyped(c, base, dt, src, tagData))
+				op.Buf, op.Type = tb.RecvView(src)
 			} else {
-				recvReqs = append(recvReqs, c.Irecv(b.RecvBlock(src), src, tagData))
+				op.Buf = b.RecvBlock(src)
 			}
+			recvReqs = append(recvReqs, c.Post(op))
 		}
 
 		// Sends are issued nonblocking and waited lazily. The schedule's
@@ -378,13 +378,13 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 					marker.MarkSyncWait(w.peer, waitStart, c.Now())
 				}
 			}
-			var req mpi.Request
+			op := mpi.Op{Dir: mpi.DirSend, Peer: st.dst, Tag: tagData}
 			if typed {
-				base, dt := tb.SendView(st.dst)
-				req = mpi.IsendTyped(c, base, dt, st.dst, tagData)
+				op.Buf, op.Type = tb.SendView(st.dst)
 			} else {
-				req = c.Isend(b.SendBlock(st.dst), st.dst, tagData)
+				op.Buf = b.SendBlock(st.dst)
 			}
+			req := c.Post(op)
 			if st.emitHi > st.emitLo {
 				// Emit-after-complete: later messages are ordered on this
 				// send's entry to the wire. On a Flusher transport the
@@ -397,7 +397,7 @@ func (sc *Scheduled) FnTimeout(d time.Duration) Func {
 						return fmt.Errorf("alltoall: send phase %d to %d: %w", st.phase, st.dst, err)
 					}
 					dataSends = append(dataSends, req)
-				} else if err := mpi.WaitTimeout(req, d); err != nil {
+				} else if _, err := req.Await(d); err != nil {
 					//aapc:allow waitcheck on error the collective aborts; outstanding requests are abandoned to the transport shutdown path
 					return fmt.Errorf("alltoall: send phase %d to %d: %w", st.phase, st.dst, err)
 				}

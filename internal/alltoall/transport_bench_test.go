@@ -7,7 +7,6 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
-	"github.com/aapc-sched/aapcsched/internal/mpi/shm"
 	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
 	"github.com/aapc-sched/aapcsched/internal/schedule"
 	"github.com/aapc-sched/aapcsched/internal/syncplan"
@@ -124,31 +123,14 @@ var transportBenchGrid = []struct {
 
 // BenchmarkMemAlltoall measures the scheduled routine over the in-process
 // transport: no sockets, so what remains is matching-engine and per-op
-// bookkeeping cost.
+// bookkeeping cost. Pre-posted receives are filled with a single copy, so
+// there is no copies/op figure to track here.
 func BenchmarkMemAlltoall(b *testing.B) {
 	for _, tc := range transportBenchGrid {
 		b.Run(fmt.Sprintf("n=%d/msize=%d", tc.n, tc.msize), func(b *testing.B) {
 			sc := benchScheduled(b, tc.n)
 			comms := mem.NewWorld(tc.n)
 			runAlltoallBench(b, comms, sc.Fn(), tc.msize, nil)
-		})
-	}
-}
-
-// BenchmarkShmAlltoall measures the scheduled routine over the
-// shared-memory transport: pre-posted receives ride the single-copy direct
-// path, so copies/op tracks how much traffic degraded to ring transit
-// (2 copies) or heap overflow (2 copies) under skew.
-func BenchmarkShmAlltoall(b *testing.B) {
-	for _, tc := range transportBenchGrid {
-		b.Run(fmt.Sprintf("n=%d/msize=%d", tc.n, tc.msize), func(b *testing.B) {
-			sc := benchScheduled(b, tc.n)
-			comms, w := shm.NewWorldComms(tc.n)
-			defer w.Close()
-			runAlltoallBench(b, comms, sc.Fn(), tc.msize, func() uint64 {
-				s := w.Stats()
-				return s.DirectPlacements + 2*s.RingTransits + 2*s.OverflowStages
-			})
 		})
 	}
 }

@@ -4,11 +4,9 @@ import "github.com/aapc-sched/aapcsched/internal/mpi"
 
 // TypedBuffers is the optional Buffers extension for the zero-copy data
 // path: each block is exposed as an (base, datatype) view into application
-// storage instead of a materialized contiguous slice. Transports that
-// implement mpi.TypedComm gather a strided send view straight into their
-// wire batches and scatter receives straight into the destination layout;
-// on other transports the mpi.IsendTyped/IrecvTyped fallbacks pack and
-// unpack transparently.
+// storage instead of a materialized contiguous slice, posted as
+// mpi.Op.Type: transports gather a strided send view straight into their
+// wire batches and scatter receives straight into the destination layout.
 type TypedBuffers interface {
 	Buffers
 	// SendView returns the layout of the block this rank sends to dst.

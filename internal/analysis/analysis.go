@@ -6,13 +6,13 @@
 //   - poolsafe: pooled payloads must not be used after release;
 //   - determinism: replay-sensitive packages must not consult wall clocks,
 //     global randomness, or map iteration order;
-//   - waitcheck: every request returned by Isend/Irecv must reach a Wait on
-//     every path, including error paths;
+//   - waitcheck: every request (any call returning an mpi.Request) must
+//     reach a wait on every path, including error paths;
 //   - noalloc: functions annotated //aapc:noalloc must not contain
 //     allocating constructs outside cold (early-exit) paths;
 //
-// together with lightweight ports of the stock vet passes the repo does not
-// get by default (shadow, copylocks, loopclosure).
+// together with a lightweight port of the one stock pass `go vet` does not
+// run by default (shadow).
 //
 // The framework is built on the standard library's go/ast and go/types
 // only. The build environment pins no external modules, so rather than
@@ -79,9 +79,6 @@ type Pass struct {
 	Info  *types.Info
 	// PkgPath is the import path the package was loaded under.
 	PkgPath string
-	// GoVersion is the module's language version ("go1.22"); version-gated
-	// analyzers (loopclosure) consult it.
-	GoVersion string
 	// Facts is the interprocedural fact universe: summaries for every
 	// function of this package plus everything imported from dependencies.
 	// Nil when no enabled analyzer declared NeedsFacts.
@@ -108,12 +105,11 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 // PackageInfo is a loaded, type-checked package handed to the runner by a
 // front end (the unitchecker or the test harness).
 type PackageInfo struct {
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	Info      *types.Info
-	PkgPath   string
-	GoVersion string
+	Fset    *token.FileSet
+	Files   []*ast.File
+	Pkg     *types.Package
+	Info    *types.Info
+	PkgPath string
 }
 
 // NewTypesInfo returns a types.Info with every map the analyzers consult.
@@ -216,15 +212,14 @@ func RunWith(pkg *PackageInfo, analyzers []*Analyzer, cfg RunConfig) (*Result, e
 		}
 		var diags []Diagnostic
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     files,
-			Pkg:       pkg.Pkg,
-			Info:      pkg.Info,
-			PkgPath:   pkg.PkgPath,
-			GoVersion: pkg.GoVersion,
-			Facts:     facts,
-			diags:     &diags,
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    files,
+			Pkg:      pkg.Pkg,
+			Info:     pkg.Info,
+			PkgPath:  pkg.PkgPath,
+			Facts:    facts,
+			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)

@@ -35,14 +35,7 @@ import (
 // Run analyzes testdata/src/<pkg> with the module's language version.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	RunWithVersion(t, testdata, a, pkg, "go1.22")
-}
-
-// RunWithVersion analyzes the corpus under an explicit language version,
-// for version-gated analyzers like loopclosure.
-func RunWithVersion(t *testing.T, testdata string, a *analysis.Analyzer, pkg, goVersion string) {
-	t.Helper()
-	pi := LoadCorpus(t, testdata, pkg, goVersion)
+	pi := LoadCorpus(t, testdata, pkg, "go1.22")
 	diags, err := analysis.Run(pi, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
@@ -99,12 +92,11 @@ func LoadCorpus(t *testing.T, testdata, pkg, goVersion string) *analysis.Package
 		t.Fatalf("typechecking corpus %s: %v", pkg, err)
 	}
 	return &analysis.PackageInfo{
-		Fset:      fset,
-		Files:     files,
-		Pkg:       tpkg,
-		Info:      info,
-		PkgPath:   pkg,
-		GoVersion: goVersion,
+		Fset:    fset,
+		Files:   files,
+		Pkg:     tpkg,
+		Info:    info,
+		PkgPath: pkg,
 	}
 }
 

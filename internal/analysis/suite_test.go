@@ -71,20 +71,6 @@ func TestShadow(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Shadow, "shadow")
 }
 
-func TestCopylocks(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Copylocks, "copylocks")
-}
-
-func TestLoopclosure(t *testing.T) {
-	analysistest.RunWithVersion(t, "testdata", analysis.Loopclosure, "loopclosure", "go1.21")
-}
-
-// TestLoopclosureVersionGate proves the pass is silent under go1.22
-// per-iteration loop-variable semantics.
-func TestLoopclosureVersionGate(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Loopclosure, "loopclosure122")
-}
-
 // TestUnusedAllowAudit drives the full Result surface: a suppressed finding
 // marks its allow comment used; a comment that suppressed nothing surfaces
 // in UnusedAllows with its position.

@@ -1,16 +1,42 @@
-// Corpus for the waitcheck analyzer: request lifecycle of Isend/Irecv.
+// Corpus for the waitcheck analyzer: the request lifecycle, recognized by
+// the request contract (Wait plus the bounded Await) of the result type.
 package waitcheck
 
-import "errors"
+import (
+	"errors"
+	"time"
+)
+
+type TraceInfo struct{ Ctx uint64 }
 
 type Request struct{ done bool }
 
-func (r *Request) Wait() error { return nil }
+func (r *Request) Await(d time.Duration) (TraceInfo, error) { return TraceInfo{}, nil }
+func (r *Request) Wait() error                              { return nil }
+
+// Waiter has a Wait method but no bounded completion: not a request.
+type Waiter struct{}
+
+func (Waiter) Wait() error { return nil }
+
+type Op struct {
+	Buf  []byte
+	Peer int
+}
 
 type Comm struct{}
 
+func (c *Comm) Post(op Op) *Request                { return &Request{} }
 func (c *Comm) Isend(buf []byte, dst int) *Request { return &Request{} }
 func (c *Comm) Irecv(buf []byte, src int) *Request { return &Request{} }
+
+// IsendStrided is a package-level helper returning a request, the shape of
+// a typed-send wrapper.
+func IsendStrided(c *Comm, base []byte, dst int) *Request {
+	return c.Post(Op{Buf: base, Peer: dst}) // ok: caller takes responsibility
+}
+
+func startWaiter() Waiter { return Waiter{} }
 
 func waitAll(reqs []*Request) error {
 	for _, r := range reqs {
@@ -117,4 +143,38 @@ func storedThenDropped(c *Comm, buf []byte) {
 func storedThenHandedOff(c *Comm, buf []byte) error {
 	r := c.Isend(buf, 1)
 	return handOff(r) // ok: the callee's fact marks the parameter consumed
+}
+
+// ---- type-based recognition: Post and helpers, not just Isend/Irecv ----
+
+func postLeakOnError(c *Comm, buf []byte) error {
+	r := c.Post(Op{Buf: buf, Peer: 1})
+	if err := prepare(0); err != nil {
+		return err // want `return leaks request\(s\) in "r" acquired at line \d+ without a Wait on this path`
+	}
+	return r.Wait()
+}
+
+func stridedLeakOnError(c *Comm, base []byte, n int) error {
+	var reqs []*Request
+	for i := 0; i < n; i++ {
+		reqs = append(reqs, IsendStrided(c, base, i))
+		if err := prepare(i); err != nil {
+			return err // want `return leaks request\(s\) in "reqs" acquired at line \d+ without a Wait on this path`
+		}
+	}
+	return waitAll(reqs)
+}
+
+func postDiscarded(c *Comm, buf []byte) {
+	c.Post(Op{Buf: buf}) // want `result of Post is discarded; the request is never waited`
+}
+
+func boundedWait(c *Comm, buf []byte) error {
+	_, err := c.Post(Op{Buf: buf}).Await(time.Second) // ok: completed immediately
+	return err
+}
+
+func notARequest() {
+	startWaiter() // ok: a Wait method alone is not the request contract
 }

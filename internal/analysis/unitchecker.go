@@ -216,12 +216,11 @@ func runConfig(cfgFile string, analyzers []*Analyzer, opts runOptions) int {
 		imported = importFacts(&cfg)
 	}
 	res, err := RunWith(&PackageInfo{
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		Info:      info,
-		PkgPath:   cfg.ImportPath,
-		GoVersion: cfg.GoVersion,
+		Fset:    fset,
+		Files:   files,
+		Pkg:     pkg,
+		Info:    info,
+		PkgPath: cfg.ImportPath,
 	}, analyzers, RunConfig{Imported: imported})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "aapcvet: %v\n", err)
@@ -326,7 +325,7 @@ func loadPackage(cfg *vetConfig) (*PackageInfo, bool) {
 	}
 	return &PackageInfo{
 		Fset: fset, Files: files, Pkg: pkg, Info: info,
-		PkgPath: cfg.ImportPath, GoVersion: cfg.GoVersion,
+		PkgPath: cfg.ImportPath,
 	}, true
 }
 

@@ -6,11 +6,12 @@ import (
 )
 
 // Waitcheck enforces the request lifecycle of the mpi layer: every request
-// returned by Isend/Irecv must reach a Wait (directly, through
-// WaitAll-style helpers, or by escaping to a caller) on every path out of
-// the acquiring function. An unwaited request is a goroutine or matcher
-// entry that outlives the collective — the static complement of the
-// runtime goroutine-leak check.
+// — the result of any call whose type implements the request contract
+// (Post, Isend, Irecv, or a helper wrapping them) — must reach a wait
+// (directly, through WaitAll-style helpers, or by escaping to a caller) on
+// every path out of the acquiring function. An unwaited request is a
+// goroutine or matcher entry that outlives the collective — the static
+// complement of the runtime goroutine-leak check.
 //
 // Recognized consumptions of a request (or of the slice it was appended
 // to): calling any method on it, passing it to any function, returning it,
@@ -24,6 +25,7 @@ import (
 //     — the classic leak-on-error-path. Deliberate abandonment (e.g. a
 //     timed-out collective whose scratch is left to the GC) is annotated
 //     //aapc:allow waitcheck with the reason.
+//
 // With facts available (facts.go) the pass is interprocedural: passing a
 // request to a callee counts as consumption only when the callee's fact
 // says the parameter is waited, retained, or escapes — handing a request to
@@ -31,28 +33,55 @@ import (
 // responsibility. Unknown callees stay conservative (assumed to consume).
 var Waitcheck = &Analyzer{
 	Name:       "waitcheck",
-	Doc:        "flags Isend/Irecv requests that can escape without reaching a Wait",
+	Doc:        "flags requests (calls returning an mpi.Request) that can escape without reaching a wait",
 	NeedsFacts: true,
 	Run:        runWaitcheck,
 }
 
-// isRequestAcquisition reports whether call is c.Isend(...)/c.Irecv(...)
-// returning a waitable request (its result type has a Wait method).
+// isRequestAcquisition reports whether call yields a request: a single
+// result whose type implements the request contract, recognized by its
+// method set rather than by the called function's name — a Wait() error
+// method plus the bounded completion Await(time.Duration) (info, error).
 func isRequestAcquisition(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if name := sel.Sel.Name; name != "Isend" && name != "Irecv" {
-		return false
-	}
 	t := pass.TypeOf(call)
 	if t == nil {
 		return false
 	}
-	obj, _, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, "Wait")
-	_, isFunc := obj.(*types.Func)
-	return isFunc
+	if _, multi := t.(*types.Tuple); multi {
+		return false
+	}
+	return hasMethod(pass, t, "Wait", nil, 1) && hasMethod(pass, t, "Await", isDuration, 2)
+}
+
+// hasMethod reports whether t's method set has name with the given arity:
+// one parameter satisfying param (none when param is nil) and nres
+// results, the last of them error.
+func hasMethod(pass *Pass, t types.Type, name string, param func(types.Type) bool, nres int) bool {
+	obj, _, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, name)
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if param == nil {
+		if sig.Params().Len() != 0 {
+			return false
+		}
+	} else if sig.Params().Len() != 1 || !param(sig.Params().At(0).Type()) {
+		return false
+	}
+	res := sig.Results()
+	return res.Len() == nres && types.Identical(res.At(nres-1).Type(), types.Universe.Lookup("error").Type())
+}
+
+// isDuration reports whether t is time.Duration.
+func isDuration(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "time" && obj.Name() == "Duration"
 }
 
 func runWaitcheck(pass *Pass) error {
@@ -181,10 +210,13 @@ func checkAcquisition(pass *Pass, file *ast.File, parents map[ast.Node]ast.Node,
 }
 
 func callName(call *ast.CallExpr) string {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		return sel.Sel.Name
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	case *ast.Ident:
+		return fn.Name
 	}
-	return "Isend/Irecv"
+	return "the call"
 }
 
 func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {

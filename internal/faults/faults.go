@@ -229,13 +229,24 @@ func (inj *Injector) killRule(rank int) int {
 // prefer WithFaults(inj) for the message faults plus WrapRankOnly for
 // Stall/Kill, so Drop exercises the real reconnect path.
 func (inj *Injector) Wrap(c mpi.Comm) mpi.Comm {
-	return &faultComm{inner: c, inj: inj, msgFaults: true}
+	return inj.wrap(c, true)
 }
 
 // WrapRankOnly decorates a communicator with Stall/Kill rules only,
 // leaving message faults to the transport's frame layer.
 func (inj *Injector) WrapRankOnly(c mpi.Comm) mpi.Comm {
-	return &faultComm{inner: c, inj: inj}
+	return inj.wrap(c, false)
+}
+
+// wrap builds the decorator, presenting exactly the optional mpi.Flusher
+// capability of the underlying transport: a Flush the transport lacks
+// would make callers skip a request wait that is load-bearing there.
+func (inj *Injector) wrap(c mpi.Comm, msgFaults bool) mpi.Comm {
+	fc := &faultComm{inner: c, inj: inj, msgFaults: msgFaults}
+	if fl, ok := c.(mpi.Flusher); ok {
+		return &flushComm{faultComm: fc, fl: fl}
+	}
+	return fc
 }
 
 // faultComm is the comm-level decorator.
@@ -243,6 +254,17 @@ type faultComm struct {
 	inner     mpi.Comm
 	inj       *Injector
 	msgFaults bool
+}
+
+// flushComm additionally forwards the wire-entry watermark wait
+// (mpi.Flusher).
+type flushComm struct {
+	*faultComm
+	fl mpi.Flusher
+}
+
+func (c *flushComm) Flush(dst int, d time.Duration) error {
+	return c.fl.Flush(dst, d)
 }
 
 func (c *faultComm) Rank() int    { return c.inner.Rank() }
@@ -279,65 +301,46 @@ func (c *faultComm) rankOp() error {
 	return nil
 }
 
-// errRequest is an already-failed request.
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error                     { return r.err }
-func (r errRequest) WaitTimeout(time.Duration) error { return r.err }
-
-// timedReq bounds the inner request's Wait by the injector's op timeout.
+// timedReq bounds the inner request's wait by the injector's op timeout.
 type timedReq struct {
 	inner mpi.Request
 	d     time.Duration
 }
 
-func (r timedReq) Wait() error { return mpi.WaitTimeout(r.inner, r.d) }
-func (r timedReq) WaitTimeout(d time.Duration) error {
+// Await waits under the tighter of the caller's and the injector's
+// deadlines, passing the trace information through.
+func (r timedReq) Await(d time.Duration) (mpi.TraceInfo, error) {
 	if r.d > 0 && (d <= 0 || r.d < d) {
 		d = r.d
 	}
-	return mpi.WaitTimeout(r.inner, d)
+	return r.inner.Await(d)
 }
 
-// WaitTraced passes the trace information through (mpi.TracedRequest) while
-// keeping the injector's op timeout in force.
-func (r timedReq) WaitTraced() (mpi.TraceInfo, error) {
-	return mpi.WaitTracedTimeout(r.inner, r.d)
-}
-
-// WaitTracedTimeout bounds WaitTraced by the tighter of the caller's and
-// the injector's deadlines (mpi.TracedTimedRequest).
-func (r timedReq) WaitTracedTimeout(d time.Duration) (mpi.TraceInfo, error) {
-	if r.d > 0 && (d <= 0 || r.d < d) {
-		d = r.d
-	}
-	return mpi.WaitTracedTimeout(r.inner, d)
-}
+func (r timedReq) Wait() error { _, err := r.Await(0); return err }
 
 func (c *faultComm) Isend(buf []byte, dst, tag int) mpi.Request {
-	return c.isend(buf, dst, tag, 0)
+	return c.Post(mpi.Op{Dir: mpi.DirSend, Buf: buf, Peer: dst, Tag: tag})
 }
 
-// IsendTraced applies the same fault rules as Isend and forwards the trace
-// context to the transport (mpi.TracedSender). Without this passthrough,
-// wrapping a traced transport in the injector would silently unlink every
-// message — exactly the runs where attribution matters most.
-func (c *faultComm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	return c.isend(buf, dst, tag, ctx)
+func (c *faultComm) Irecv(buf []byte, src, tag int) mpi.Request {
+	return c.Post(mpi.Op{Dir: mpi.DirRecv, Buf: buf, Peer: src, Tag: tag})
 }
 
-func (c *faultComm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
+// Post applies the rank-stream rules to every operation and the message
+// rules to sends, then forwards the op — trace context included, so
+// attribution still works on exactly the runs where faults are injected.
+func (c *faultComm) Post(op mpi.Op) mpi.Request {
 	if err := c.rankOp(); err != nil {
-		return errRequest{err}
+		return mpi.Completed(err)
 	}
-	if c.msgFaults {
-		if r := c.inj.nextPairFault(c.inner.Rank(), dst); r != nil {
+	if op.Dir == mpi.DirSend && c.msgFaults {
+		if r := c.inj.nextPairFault(c.inner.Rank(), op.Peer); r != nil {
 			switch r.Kind {
 			case Drop:
 				// The message vanishes. MPI send semantics: completion means
 				// the buffer is reusable, which it trivially is. The receiver
 				// learns through its own deadline.
-				return errRequest{nil}
+				return mpi.Completed(nil)
 			case Delay:
 				// Pause before submitting, in the caller's goroutine: an
 				// asynchronous late submission would let later sends of the
@@ -350,19 +353,7 @@ func (c *faultComm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
 			// matching layer; treated as none.
 		}
 	}
-	if ctx != 0 {
-		if ts, ok := c.inner.(mpi.TracedSender); ok {
-			return timedReq{inner: ts.IsendTraced(buf, dst, tag, ctx), d: c.inj.opTimeout}
-		}
-	}
-	return timedReq{inner: c.inner.Isend(buf, dst, tag), d: c.inj.opTimeout}
-}
-
-func (c *faultComm) Irecv(buf []byte, src, tag int) mpi.Request {
-	if err := c.rankOp(); err != nil {
-		return errRequest{err}
-	}
-	return timedReq{inner: c.inner.Irecv(buf, src, tag), d: c.inj.opTimeout}
+	return timedReq{inner: c.inner.Post(op), d: c.inj.opTimeout}
 }
 
 func (c *faultComm) Barrier() error {

@@ -300,3 +300,37 @@ func TestEventString(t *testing.T) {
 		t.Fatalf("event string %q", e.String())
 	}
 }
+
+// flushSpy is a comm with a wire-entry watermark wait that records the
+// destination it was asked to flush.
+type flushSpy struct {
+	mpi.Comm
+	flushed int
+}
+
+func (s *flushSpy) Flush(dst int, _ time.Duration) error { s.flushed = dst; return nil }
+
+// TestWrapPresentsFlusherExactly checks that both decorators surface
+// mpi.Flusher exactly when the wrapped transport has it, and that a Flush
+// reaches the transport: a Flush the transport lacks would let callers
+// skip a request wait that is load-bearing there.
+func TestWrapPresentsFlusherExactly(t *testing.T) {
+	inj := New(&Plan{})
+	wraps := map[string]func(mpi.Comm) mpi.Comm{"Wrap": inj.Wrap, "WrapRankOnly": inj.WrapRankOnly}
+	for name, wrap := range wraps {
+		t.Run(name, func(t *testing.T) {
+			plain := mem.NewWorld(2)[0]
+			if _, ok := wrap(plain).(mpi.Flusher); ok {
+				t.Fatal("wrapped mem comm presents mpi.Flusher")
+			}
+			spy := &flushSpy{Comm: plain, flushed: -1}
+			fl, ok := wrap(spy).(mpi.Flusher)
+			if !ok {
+				t.Fatal("wrapped flushing comm hides mpi.Flusher")
+			}
+			if err := fl.Flush(1, time.Second); err != nil || spy.flushed != 1 {
+				t.Fatalf("Flush(1) = %v, transport flushed %d", err, spy.flushed)
+			}
+		})
+	}
+}

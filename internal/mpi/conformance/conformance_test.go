@@ -1,7 +1,7 @@
 // Package conformance cross-checks every transport in the repository —
-// in-process (mem), shared memory (shm), loopback TCP (tcp), distributed
-// TCP (tcp.Join, both over shm pair segments and forced pure-TCP) and the
-// virtual-time simulator (simnet) — against a common model: randomly
+// in-process (mem), loopback TCP (tcp), distributed TCP (tcp.Join, both
+// over shm pair segments and forced pure-TCP) and the virtual-time
+// simulator (simnet) — against a common model: randomly
 // generated message programs whose outcome is computable from MPI matching
 // semantics (per-(source, destination, tag) FIFO). Any divergence in
 // matching, ordering or payload delivery on any transport fails here.
@@ -15,7 +15,6 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
-	"github.com/aapc-sched/aapcsched/internal/mpi/shm"
 	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
 	"github.com/aapc-sched/aapcsched/internal/simnet"
 	"github.com/aapc-sched/aapcsched/internal/topology"
@@ -140,9 +139,6 @@ func transports(t *testing.T, n int) map[string]func(fn func(c mpi.Comm) error) 
 		},
 		"tcp": func(fn func(c mpi.Comm) error) error {
 			return tcp.Run(n, fn)
-		},
-		"shm": func(fn func(c mpi.Comm) error) error {
-			return shm.Run(n, fn)
 		},
 		// With every test joiner on one host, the default distributed mesh
 		// links all pairs through shm segments; the second variant forces

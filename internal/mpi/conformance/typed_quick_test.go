@@ -11,8 +11,6 @@ import (
 
 	"github.com/aapc-sched/aapcsched/internal/faults"
 	"github.com/aapc-sched/aapcsched/internal/mpi"
-	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
-	"github.com/aapc-sched/aapcsched/internal/mpi/shm"
 	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
 )
 
@@ -67,13 +65,14 @@ func (x xfer) runTyped(runner func(fn func(c mpi.Comm) error) error) error {
 				base[i] = 0xEE
 			}
 			sdt.Unpack(base, payload)
-			return mpi.WaitTimeout(mpi.IsendTyped(c, base, sdt, 1, tag), quickOpTimeout)
+			_, err := c.Post(mpi.Op{Dir: mpi.DirSend, Buf: base, Type: sdt, Peer: 1, Tag: tag}).Await(quickOpTimeout)
+			return err
 		}
 		base := make([]byte, rdt.Extent())
 		for i := range base {
 			base[i] = 0xEE
 		}
-		if err := mpi.WaitTimeout(mpi.IrecvTyped(c, base, rdt, 0, tag), quickOpTimeout); err != nil {
+		if _, err := c.Post(mpi.Op{Dir: mpi.DirRecv, Buf: base, Type: rdt, Peer: 0, Tag: tag}).Await(quickOpTimeout); err != nil {
 			return err
 		}
 		want := make([]byte, rdt.Extent())
@@ -97,20 +96,17 @@ const quickOpTimeout = 30 * time.Second // far above any healthy transfer
 
 // TestTypedTransferQuick is the cross-transport property test: any randomly
 // drawn strided<->strided (or strided<->contiguous) transfer is
-// byte-identical after packing on every transport, including a TCP world
-// whose first data frame per pair is force-dropped so delivery rides the
-// reconnect + retransmit path.
+// byte-identical after packing on every transport — the conformance set
+// (mem, tcp, distributed over shm links and forced tcp, simnet) plus a TCP
+// world whose first data frame per pair is force-dropped so delivery rides
+// the reconnect + retransmit path.
 func TestTypedTransferQuick(t *testing.T) {
 	dropFirst := &faults.Plan{Seed: 99, Rules: []faults.Rule{
 		{Kind: faults.Drop, Src: faults.Any, Dst: faults.Any, Count: 1},
 	}}
-	runners := map[string]func(fn func(c mpi.Comm) error) error{
-		"mem": func(fn func(c mpi.Comm) error) error { return mem.Run(2, fn) },
-		"shm": func(fn func(c mpi.Comm) error) error { return shm.Run(2, fn) },
-		"tcp": func(fn func(c mpi.Comm) error) error { return tcp.Run(2, fn) },
-		"tcp-reconnect": func(fn func(c mpi.Comm) error) error {
-			return tcp.Run(2, fn, tcp.WithFaults(faults.New(dropFirst)))
-		},
+	runners := transports(t, 2)
+	runners["tcp-reconnect"] = func(fn func(c mpi.Comm) error) error {
+		return tcp.Run(2, fn, tcp.WithFaults(faults.New(dropFirst)))
 	}
 	for name, runner := range runners {
 		name, runner := name, runner
@@ -151,12 +147,12 @@ func TestTypedTransferReconnectRecovers(t *testing.T) {
 		if c.Rank() == 0 {
 			base := make([]byte, sdt.Extent())
 			sdt.Unpack(base, payload)
-			if err := mpi.WaitTimeout(mpi.IsendTyped(c, base, sdt, 1, tag), quickOpTimeout); err != nil {
+			if _, err := c.Post(mpi.Op{Dir: mpi.DirSend, Buf: base, Type: sdt, Peer: 1, Tag: tag}).Await(quickOpTimeout); err != nil {
 				return err
 			}
 		} else {
 			base := make([]byte, rdt.Extent())
-			if err := mpi.WaitTimeout(mpi.IrecvTyped(c, base, rdt, 0, tag), quickOpTimeout); err != nil {
+			if _, err := c.Post(mpi.Op{Dir: mpi.DirRecv, Buf: base, Type: rdt, Peer: 0, Tag: tag}).Await(quickOpTimeout); err != nil {
 				return err
 			}
 			got := make([]byte, rdt.Size())

@@ -149,3 +149,17 @@ func TestCopyTypedQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCopyTypedZeroIsWholeSlice pins the Op.Type convention CopyTyped
+// shares with the transports: a zero Datatype is the whole base slice.
+func TestCopyTypedZeroIsWholeSlice(t *testing.T) {
+	src := []byte("abcdefgh")
+	dst := make([]byte, 6)
+	if n := CopyTyped(dst, Datatype{}, src, Datatype{}); n != 6 || string(dst) != "abcdef" {
+		t.Errorf("zero<-zero copied %d bytes: %q", n, dst)
+	}
+	strided := make([]byte, 8)
+	if n := CopyTyped(strided, Vector(2, 2, 4), src, Datatype{}); n != 4 || string(strided) != "ab\x00\x00cd\x00\x00" {
+		t.Errorf("strided<-zero copied %d bytes: %q", n, strided)
+	}
+}

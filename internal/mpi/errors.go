@@ -58,68 +58,6 @@ func IsTimeout(err error) bool {
 	return errors.As(err, &te)
 }
 
-// TimedRequest is a Request whose Wait can be bounded by a deadline.
-// Transports that can support per-operation deadlines implement it.
-type TimedRequest interface {
-	Request
-	// WaitTimeout behaves like Wait but returns a TimeoutError if the
-	// operation has not completed within d. d <= 0 means no deadline.
-	// At most one of Wait/WaitTimeout may be called per request.
-	WaitTimeout(d time.Duration) error
-}
-
-// WaitTimeout waits for a request with a deadline when the transport
-// supports one (TimedRequest); otherwise it degrades to a plain Wait.
-// d <= 0 always means an unbounded wait.
-func WaitTimeout(r Request, d time.Duration) error {
-	if r == nil {
-		return nil
-	}
-	if d > 0 {
-		if tr, ok := r.(TimedRequest); ok {
-			return tr.WaitTimeout(d)
-		}
-	}
-	return r.Wait()
-}
-
-// WaitAllTimeout waits for every request under one shared deadline: the
-// budget d covers the whole batch, not each request. It returns the first
-// error encountered after attempting to wait for all of them. d <= 0 is
-// WaitAll.
-func WaitAllTimeout(reqs []Request, d time.Duration) error {
-	if d <= 0 {
-		return WaitAll(reqs)
-	}
-	deadline := time.Now().Add(d)
-	var first error
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			// Budget exhausted: give each remaining request a chance to
-			// complete immediately, but do not block.
-			rem = time.Nanosecond
-		}
-		if err := WaitTimeout(r, rem); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// SendTimeout is a blocking send bounded by d.
-func SendTimeout(c Comm, buf []byte, dst, tag int, d time.Duration) error {
-	return WaitTimeout(c.Isend(buf, dst, tag), d)
-}
-
-// RecvTimeout is a blocking receive bounded by d.
-func RecvTimeout(c Comm, buf []byte, src, tag int, d time.Duration) error {
-	return WaitTimeout(c.Irecv(buf, src, tag), d)
-}
-
 // FaultOp is the action a fault-injection layer requests for one outbound
 // message. The hook types live here, in the package both the transports and
 // the injector already depend on, so neither has to import the other.

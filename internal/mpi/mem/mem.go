@@ -1,8 +1,16 @@
-// Package mem provides an in-process mpi transport: all ranks live in one
-// address space and exchange real bytes through a matching engine. It is the
-// reference transport for functional correctness — if an all-to-all
-// algorithm produces the right permutation here, the algorithm logic is
-// right; performance behaviour is the simulator's job.
+// Package mem is the repository's in-process mpi transport: all ranks live
+// in one address space and exchange real bytes through a matching engine.
+// It is the reference transport for functional correctness — if an
+// all-to-all algorithm produces the right permutation here, the algorithm
+// logic is right; performance behaviour is the simulator's job — and the
+// one in-process matching core every other in-process use builds on.
+//
+// Matching state is kept per directed (source, destination) pair, each pair
+// under its own lock, so ranks exchanging with different peers never
+// contend. A match moves the payload once, straight between the two user
+// layouts (either side may be strided): a receive posted before its send —
+// the scheduled all-to-all's steady state — is filled by the sender with a
+// single copy, and a send posted first waits, unstaged, for its receive.
 //
 // For fault testing, a rank can be killed (KillRank or the mpi.Killer
 // interface on its comm): every pending and future operation involving the
@@ -23,37 +31,51 @@ type World struct {
 	n     int
 	start time.Time
 
-	mu      sync.Mutex
-	sends   map[matchKey][]*op
-	recvs   map[matchKey][]*op
-	dead    map[int]error
+	// pairs holds the matching state of every directed pair, indexed
+	// src*n+dst.
+	pairs []pair
+
+	// deadMu guards dead, the failure cause per rank (nil while alive).
+	deadMu sync.Mutex
+	dead   []error
+
+	barMu   sync.Mutex
 	barrier *barrierGen
 
 	// opsMu guards opFree, the freelist of completed operations. An op (and
-	// its one-slot channel) is recycled when Wait consumes its completion —
-	// the only point where provably neither side references it anymore. Ops
-	// abandoned by WaitTimeout are never recycled: a late match may still
-	// write their buffer and channel.
+	// its one-slot channel) is recycled when its wait consumes the
+	// completion — the only point where provably neither side references
+	// it anymore. Ops abandoned by a bounded Await are never recycled: a
+	// late match may still write their buffer and channel.
 	opsMu  sync.Mutex
 	opFree []*op
+}
+
+// pair is the matching state of one directed (src, dst) link: unmatched
+// sends and posted receives, FIFO per tag. MPI ordering applies per
+// (src, dst, tag), so a pair's queues are the whole of it.
+type pair struct {
+	mu    sync.Mutex
+	sends map[int][]*op
+	recvs map[int][]*op
 }
 
 // opFreeCap bounds the freelist; beyond it completed ops fall to the GC.
 const opFreeCap = 1024
 
 // getOp returns a recycled op or makes a fresh one.
-func (w *World) getOp(buf []byte) *op {
+func (w *World) getOp(buf []byte, dt mpi.Datatype) *op {
 	w.opsMu.Lock()
 	if k := len(w.opFree); k > 0 {
 		o := w.opFree[k-1]
 		w.opFree[k-1] = nil
 		w.opFree = w.opFree[:k-1]
 		w.opsMu.Unlock()
-		o.buf = buf
+		o.buf, o.dt = buf, dt
 		return o
 	}
 	w.opsMu.Unlock()
-	return &op{w: w, buf: buf, done: make(chan error, 1)}
+	return &op{w: w, buf: buf, dt: dt, done: make(chan error, 1)}
 }
 
 // putOp returns a consumed op to the freelist. Its channel is empty again
@@ -78,14 +100,8 @@ type barrierGen struct {
 	err     error
 }
 
-// matchKey identifies a send/receive rendezvous point. MPI ordering applies
-// per key: matching is FIFO between identical (src, dst, tag) triples.
-type matchKey struct {
-	src, dst, tag int
-}
-
 // op is one pending operation awaiting its match. It doubles as the request
-// handed back to the caller: Wait consumes the completion and recycles the
+// handed back to the caller: Await consumes the completion and recycles the
 // op through the world's freelist, so a steady stream of operations reuses a
 // small set of op/channel pairs instead of allocating per message.
 type op struct {
@@ -93,17 +109,17 @@ type op struct {
 	buf  []byte
 	done chan error
 	// ctx is the trace context: on a send op, the context the sender
-	// attached (IsendTraced); on a recv op, the matching sender's context,
-	// copied at match time before the completion is signalled. 0 = untraced.
+	// attached; on a recv op, the matching sender's context, copied at match
+	// time before the completion is signalled. 0 = untraced.
 	ctx uint64
 	// deliveredAt is the delivery timestamp (Comm.Now seconds), stamped on
 	// BOTH ops at match time for traced messages only: the recv side reads
 	// it as the payload's arrival, the send side as the moment its message
-	// left (which a late-drained Wait would otherwise misreport).
+	// left (which a late-drained wait would otherwise misreport).
 	deliveredAt float64
-	// dt, when non-zero, describes buf's strided layout (typed operation).
-	// The match moves bytes straight between the two layouts — the mem
-	// transport's single copy, with no pack staging in between.
+	// dt, when non-zero, describes buf's strided layout. The match moves
+	// bytes straight between the two layouts — the transport's single copy,
+	// with no pack staging in between.
 	dt mpi.Datatype
 }
 
@@ -115,74 +131,19 @@ func (o *op) size() int {
 	return o.dt.Size()
 }
 
-// place moves the matched message's bytes from the send op into the recv
-// op, honoring either side's layout, and returns the bytes placed.
-func place(recv, send *op) int {
-	if recv.dt.IsZero() && send.dt.IsZero() {
-		return copy(recv.buf, send.buf)
+// Await implements mpi.Request. The trace info is read before the op is
+// recycled — reading it afterwards would race the freelist.
+func (o *op) Await(d time.Duration) (mpi.TraceInfo, error) {
+	ok, err := mpi.AwaitDone(o.done, d)
+	if !ok {
+		return mpi.TraceInfo{}, err
 	}
-	rdt, sdt := recv.dt, send.dt
-	if rdt.IsZero() {
-		rdt = mpi.Contiguous(len(recv.buf))
-	}
-	if sdt.IsZero() {
-		sdt = mpi.Contiguous(len(send.buf))
-	}
-	return mpi.CopyTyped(recv.buf, rdt, send.buf, sdt)
-}
-
-func (o *op) Wait() error {
-	err := <-o.done
-	o.w.putOp(o)
-	return err
-}
-
-// WaitTraced consumes the completion and returns the trace information the
-// match recorded (mpi.TracedRequest). The info is read before the op is
-// recycled — reading it after Wait would race the freelist.
-func (o *op) WaitTraced() (mpi.TraceInfo, error) {
-	err := <-o.done
 	info := mpi.TraceInfo{Ctx: o.ctx, DeliveredAt: o.deliveredAt}
 	o.w.putOp(o)
 	return info, err
 }
 
-// WaitTracedTimeout bounds the traced wait (mpi.TracedTimedRequest). Like
-// WaitTimeout, a timed-out op is abandoned, never recycled.
-func (o *op) WaitTracedTimeout(d time.Duration) (mpi.TraceInfo, error) {
-	if d <= 0 {
-		return o.WaitTraced()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		info := mpi.TraceInfo{Ctx: o.ctx, DeliveredAt: o.deliveredAt}
-		o.w.putOp(o)
-		return info, err
-	case <-t.C:
-		return mpi.TraceInfo{}, &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
-
-// WaitTimeout bounds the wait (mpi.TimedRequest). The operation is
-// abandoned on timeout: its buffer must not be reused, a late match may
-// still consume it, and the op is left to the garbage collector rather than
-// recycled.
-func (o *op) WaitTimeout(d time.Duration) error {
-	if d <= 0 {
-		return o.Wait()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		o.w.putOp(o)
-		return err
-	case <-t.C:
-		return &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
+func (o *op) Wait() error { _, err := o.Await(0); return err }
 
 // NewWorld creates a world of n in-process ranks and returns one
 // communicator per rank.
@@ -193,9 +154,8 @@ func NewWorld(n int) []mpi.Comm {
 	w := &World{
 		n:       n,
 		start:   time.Now(),
-		sends:   make(map[matchKey][]*op),
-		recvs:   make(map[matchKey][]*op),
-		dead:    make(map[int]error),
+		pairs:   make([]pair, n*n),
+		dead:    make([]error, n),
 		barrier: &barrierGen{release: make(chan struct{})},
 	}
 	comms := make([]mpi.Comm, n)
@@ -236,47 +196,73 @@ func (w *World) KillRank(r int) error {
 	if r < 0 || r >= w.n {
 		return fmt.Errorf("mem: kill of rank %d out of range [0, %d)", r, w.n)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.dead[r]; ok {
+	w.deadMu.Lock()
+	if w.dead[r] != nil {
+		w.deadMu.Unlock()
 		return nil
 	}
 	cause := fmt.Errorf("mem: rank %d killed", r)
 	w.dead[r] = cause
+	w.deadMu.Unlock()
+	// Posts check liveness under their pair's lock, after the mark above
+	// became visible or before this sweep takes that lock: either way no
+	// operation involving r is left pending.
 	rankErr := &mpi.RankError{Rank: r, Err: cause}
-	for key, q := range w.sends {
-		if key.src != r && key.dst != r {
-			continue
-		}
-		for _, o := range q {
-			o.done <- rankErr
-		}
-		delete(w.sends, key)
-	}
-	for key, q := range w.recvs {
-		if key.src != r && key.dst != r {
-			continue
-		}
-		for _, o := range q {
-			o.done <- rankErr
-		}
-		delete(w.recvs, key)
+	for q := 0; q < w.n; q++ {
+		w.pairs[r*w.n+q].fail(rankErr)
+		w.pairs[q*w.n+r].fail(rankErr)
 	}
 	// Abort the in-flight barrier generation: the dead rank will never
 	// arrive, so everyone blocked would wait forever.
+	w.barMu.Lock()
 	if w.barrier.waiting > 0 {
 		w.barrier.err = rankErr
 		close(w.barrier.release)
 		w.barrier = &barrierGen{release: make(chan struct{})}
 	}
+	w.barMu.Unlock()
 	return nil
 }
 
-// deadErrLocked returns the typed error for an operation involving a dead
-// endpoint, or nil. Caller holds w.mu.
-func (w *World) deadErrLocked(ranks ...int) error {
-	for _, r := range ranks {
-		if cause, ok := w.dead[r]; ok {
+// fail completes every pending operation of the pair with err.
+func (p *pair) fail(err error) {
+	p.mu.Lock()
+	for tag, q := range p.sends {
+		for _, o := range q {
+			o.done <- err
+		}
+		delete(p.sends, tag)
+	}
+	for tag, q := range p.recvs {
+		for _, o := range q {
+			o.done <- err
+		}
+		delete(p.recvs, tag)
+	}
+	p.mu.Unlock()
+}
+
+// deadErr returns the typed error for an operation involving a dead
+// endpoint, or nil.
+func (w *World) deadErr(a, b int) error {
+	w.deadMu.Lock()
+	defer w.deadMu.Unlock()
+	for _, r := range [2]int{a, b} {
+		if cause := w.dead[r]; cause != nil {
+			return &mpi.RankError{Rank: r, Err: cause}
+		}
+	}
+	return nil
+}
+
+// lowestDeadErr returns the typed error naming the lowest dead rank, or nil
+// when every rank is alive: a deterministic choice, so every surviving rank
+// reports the same failure.
+func (w *World) lowestDeadErr() error {
+	w.deadMu.Lock()
+	defer w.deadMu.Unlock()
+	for r, cause := range w.dead {
+		if cause != nil {
 			return &mpi.RankError{Rank: r, Err: cause}
 		}
 	}
@@ -296,143 +282,118 @@ func (c *comm) Now() float64 { return time.Since(c.w.start).Seconds() }
 // Kill simulates the death of this rank (mpi.Killer).
 func (c *comm) Kill() error { return c.w.KillRank(c.rank) }
 
-// errRequest is an already-failed request.
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error                     { return r.err }
-func (r errRequest) WaitTimeout(time.Duration) error { return r.err }
-
 func (c *comm) Isend(buf []byte, dst, tag int) mpi.Request {
-	return c.isend(buf, mpi.Datatype{}, dst, tag, 0)
-}
-
-// IsendTyped starts a typed send (mpi.TypedComm): the match copies straight
-// from the dt-described blocks of base into the receiver's layout.
-func (c *comm) IsendTyped(base []byte, dt mpi.Datatype, dst, tag int) mpi.Request {
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
-	}
-	return c.isend(base, dt, dst, tag, 0)
-}
-
-// IrecvTyped posts a typed receive (mpi.TypedComm).
-func (c *comm) IrecvTyped(base []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
-	}
-	return c.irecv(base, dt, src, tag)
-}
-
-// IsendTraced attaches a trace context to the message (mpi.TracedSender):
-// the matching receive op learns it, and its delivery time, at match time.
-func (c *comm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	return c.isend(buf, mpi.Datatype{}, dst, tag, ctx)
-}
-
-func (c *comm) isend(buf []byte, dt mpi.Datatype, dst, tag int, ctx uint64) mpi.Request {
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
-	}
-	key := matchKey{src: c.rank, dst: dst, tag: tag}
-	w := c.w
-	me := w.getOp(buf)
-	me.dt = dt
-	me.ctx = ctx
-	w.mu.Lock()
-	if err := w.deadErrLocked(c.rank, dst); err != nil {
-		w.mu.Unlock()
-		w.putOp(me)
-		return errRequest{err}
-	}
-	if q := w.recvs[key]; len(q) > 0 {
-		peer := q[0]
-		q[0] = nil
-		w.recvs[key] = q[1:]
-		n := place(peer, me)
-		if ctx != 0 {
-			// The channel send below orders these writes before the
-			// receiver's WaitTraced read. The sender's op gets the same
-			// stamp: a send's effect happened at the match, not at whatever
-			// later point its Wait was drained.
-			peer.ctx = ctx
-			peer.deliveredAt = c.Now()
-			me.deliveredAt = peer.deliveredAt
-		}
-		w.mu.Unlock()
-		if n < me.size() {
-			err := fmt.Errorf("mem: send %d->%d tag %d truncated: receiver buffer %d < %d",
-				key.src, key.dst, key.tag, peer.size(), me.size())
-			peer.done <- err
-			me.done <- err
-		} else {
-			peer.done <- nil
-			me.done <- nil
-		}
-		return me
-	}
-	w.sends[key] = append(w.sends[key], me)
-	w.mu.Unlock()
-	return me
+	return c.Post(mpi.Op{Dir: mpi.DirSend, Buf: buf, Peer: dst, Tag: tag})
 }
 
 func (c *comm) Irecv(buf []byte, src, tag int) mpi.Request {
-	return c.irecv(buf, mpi.Datatype{}, src, tag)
+	return c.Post(mpi.Op{Dir: mpi.DirRecv, Buf: buf, Peer: src, Tag: tag})
 }
 
-func (c *comm) irecv(buf []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
+// Post implements mpi.Comm: the operation matches the oldest opposite
+// operation queued on its pair and tag, or queues itself.
+func (c *comm) Post(o mpi.Op) mpi.Request {
+	o, err := o.Normalize()
+	if err != nil {
+		return mpi.Completed(err)
 	}
-	key := matchKey{src: src, dst: c.rank, tag: tag}
+	if err := mpi.CheckRank(c, o.Peer); err != nil {
+		return mpi.Completed(err)
+	}
 	w := c.w
-	me := w.getOp(buf)
-	me.dt = dt
-	w.mu.Lock()
-	if q := w.sends[key]; len(q) > 0 {
-		// A message sent before the source died still matches.
-		peer := q[0]
-		q[0] = nil
-		w.sends[key] = q[1:]
-		n := place(me, peer)
-		if peer.ctx != 0 {
-			me.ctx = peer.ctx
-			me.deliveredAt = c.Now()
-			peer.deliveredAt = me.deliveredAt
+	me := w.getOp(o.Buf, o.Type)
+	sending := o.Dir == mpi.DirSend
+	src, dst := o.Peer, c.rank
+	if sending {
+		src, dst = c.rank, o.Peer
+		me.ctx = o.Ctx
+	}
+	p := &w.pairs[src*w.n+dst]
+	p.mu.Lock()
+	if sending {
+		if err := w.deadErr(src, dst); err != nil {
+			p.mu.Unlock()
+			w.putOp(me)
+			return mpi.Completed(err)
 		}
-		w.mu.Unlock()
-		if n < peer.size() {
-			err := fmt.Errorf("mem: send %d->%d tag %d truncated: receiver buffer %d < %d",
-				key.src, key.dst, key.tag, me.size(), peer.size())
-			peer.done <- err
-			me.done <- err
-		} else {
-			peer.done <- nil
-			me.done <- nil
+		if peer := pop(p.recvs, o.Tag); peer != nil {
+			p.mu.Unlock()
+			c.match(peer, me, src, dst, o.Tag)
+			return me
 		}
+		p.sends = push(p.sends, o.Tag, me)
+		p.mu.Unlock()
 		return me
 	}
-	if err := w.deadErrLocked(c.rank, src); err != nil {
-		w.mu.Unlock()
-		w.putOp(me)
-		return errRequest{err}
+	// A message sent before the source died still matches.
+	if peer := pop(p.sends, o.Tag); peer != nil {
+		p.mu.Unlock()
+		c.match(me, peer, src, dst, o.Tag)
+		return me
 	}
-	w.recvs[key] = append(w.recvs[key], me)
-	w.mu.Unlock()
+	if err := w.deadErr(dst, src); err != nil {
+		p.mu.Unlock()
+		w.putOp(me)
+		return mpi.Completed(err)
+	}
+	p.recvs = push(p.recvs, o.Tag, me)
+	p.mu.Unlock()
 	return me
+}
+
+// pop removes and returns the oldest op queued under tag, or nil.
+func pop(q map[int][]*op, tag int) *op {
+	ops := q[tag]
+	if len(ops) == 0 {
+		return nil
+	}
+	o := ops[0]
+	ops[0] = nil
+	q[tag] = ops[1:]
+	return o
+}
+
+// push appends o to the tag's queue, allocating the map on first use.
+func push(q map[int][]*op, tag int, o *op) map[int][]*op {
+	if q == nil {
+		q = make(map[int][]*op)
+	}
+	q[tag] = append(q[tag], o)
+	return q
+}
+
+// match completes a matched pair of operations. Both ops have left their
+// queues, so no lock is needed: the copy runs outside the pair's critical
+// section and the channel sends order every write before the waits' reads.
+func (c *comm) match(recv, send *op, src, dst, tag int) {
+	n := mpi.CopyTyped(recv.buf, recv.dt, send.buf, send.dt)
+	if send.ctx != 0 {
+		// A send's effect happened at the match, not at whatever later
+		// point its wait was drained, so both sides get the same stamp.
+		recv.ctx = send.ctx
+		recv.deliveredAt = c.Now()
+		send.deliveredAt = recv.deliveredAt
+	}
+	var err error
+	if n < send.size() {
+		err = fmt.Errorf("mem: send %d->%d tag %d truncated: receiver buffer %d < %d",
+			src, dst, tag, recv.size(), send.size())
+	}
+	recv.done <- err
+	send.done <- err
 }
 
 func (c *comm) Barrier() error {
 	w := c.w
-	w.mu.Lock()
-	if err := w.deadErrLocked(c.rank); err != nil {
-		w.mu.Unlock()
-		return err
-	}
+	w.barMu.Lock()
 	// A barrier can never complete while any rank is dead; fail fast with
 	// the same typed error every surviving rank sees.
-	for r := range w.dead {
-		err := &mpi.RankError{Rank: r, Err: w.dead[r]}
-		w.mu.Unlock()
+	if err := w.deadErr(c.rank, c.rank); err != nil {
+		w.barMu.Unlock()
+		return err
+	}
+	if err := w.lowestDeadErr(); err != nil {
+		w.barMu.Unlock()
 		return err
 	}
 	gen := w.barrier
@@ -441,10 +402,10 @@ func (c *comm) Barrier() error {
 		// Last arrival releases everyone and resets for the next round.
 		close(gen.release)
 		w.barrier = &barrierGen{release: make(chan struct{})}
-		w.mu.Unlock()
+		w.barMu.Unlock()
 		return nil
 	}
-	w.mu.Unlock()
+	w.barMu.Unlock()
 	<-gen.release
 	return gen.err
 }

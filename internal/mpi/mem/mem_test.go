@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,16 +125,32 @@ func TestSendrecv(t *testing.T) {
 	}
 }
 
+// TestTruncationError checks that an oversized send fails both of the
+// matched requests, whether the receive was queued before its send (the
+// sender fills it directly) or the send was queued first (the receive
+// drains it).
 func TestTruncationError(t *testing.T) {
-	err := Run(2, func(c mpi.Comm) error {
-		if c.Rank() == 0 {
-			return mpi.Send(c, []byte("too long"), 1, 0)
-		}
-		buf := make([]byte, 2)
-		return mpi.Recv(c, buf, 0, 0)
-	})
-	if err == nil {
-		t.Fatal("want truncation error")
+	for _, tc := range []struct {
+		name      string
+		recvFirst bool
+	}{{"recv-first", true}, {"send-first", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			comms := NewWorld(2)
+			var rr, sr mpi.Request
+			if tc.recvFirst {
+				rr = comms[1].Irecv(make([]byte, 2), 0, 1)
+				sr = comms[0].Isend([]byte("too long"), 1, 1)
+			} else {
+				sr = comms[0].Isend([]byte("too long"), 1, 1)
+				rr = comms[1].Irecv(make([]byte, 2), 0, 1)
+			}
+			serr, rerr := sr.Wait(), rr.Wait()
+			for _, err := range []error{serr, rerr} {
+				if err == nil || !strings.Contains(err.Error(), "truncated") {
+					t.Fatalf("send error %v, recv error %v: want truncation on both", serr, rerr)
+				}
+			}
+		})
 	}
 }
 
@@ -176,6 +194,40 @@ func TestBarrier(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBarrierReportsSameDeadRank kills two of four ranks and checks that
+// every survivor's barrier names the same dead rank — the lowest — rather
+// than whichever one a map iteration happened to visit first.
+func TestBarrierReportsSameDeadRank(t *testing.T) {
+	for rep := 0; rep < 50; rep++ {
+		comms, w := NewWorldComms(4)
+		for _, r := range []int{3, 1} {
+			if err := w.KillRank(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		survivors := []int{0, 2}
+		named := make([]int, len(survivors))
+		var wg sync.WaitGroup
+		for i, r := range survivors {
+			wg.Add(1)
+			go func(i int, c mpi.Comm) {
+				defer wg.Done()
+				named[i] = -1
+				if re, ok := mpi.AsRankError(c.Barrier()); ok {
+					named[i] = re.Rank
+				}
+			}(i, comms[r])
+		}
+		wg.Wait()
+		for i, r := range named {
+			if r != 1 {
+				t.Fatalf("rep %d: survivor %d's barrier named rank %d, want the lowest dead rank 1 (all: %v)",
+					rep, survivors[i], r, named)
+			}
+		}
 	}
 }
 
@@ -255,5 +307,93 @@ func TestNowMonotonic(t *testing.T) {
 	b := comms[0].Now()
 	if b <= a {
 		t.Errorf("Now not increasing: %v then %v", a, b)
+	}
+}
+
+func TestSelfSend(t *testing.T) {
+	c := NewWorld(1)[0]
+	buf := []byte("to myself")
+	sr := c.Isend(buf, 0, 5) // no receive posted yet: the send queues
+	got := make([]byte, len(buf))
+	if err := mpi.Recv(c, got, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, buf) {
+		t.Fatalf("self-send got %q, want %q", got, buf)
+	}
+}
+
+// TestAwaitTimeoutAbandonsOp checks that an expired Await reports a typed
+// timeout and that the abandoned receive is never recycled: its late match
+// still lands in its own buffer, and later operations get fresh requests.
+func TestAwaitTimeoutAbandonsOp(t *testing.T) {
+	comms := NewWorld(2)
+	late := make([]byte, 4)
+	rr := comms[1].Irecv(late, 0, 3)
+	_, err := rr.Await(5 * time.Millisecond)
+	var te *mpi.TimeoutError
+	if !errors.As(err, &te) {
+		t.Fatalf("Await on an unmatched receive = %v, want *mpi.TimeoutError", err)
+	}
+	if err := mpi.Send(comms[0], []byte("late"), 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if string(late) != "late" {
+		t.Fatalf("abandoned receive buffer = %q, want the late message", late)
+	}
+	for i := 0; i < 4; i++ {
+		msg := []byte{byte('a' + i)}
+		got := make([]byte, 1)
+		r := comms[1].Irecv(got, 0, 3)
+		if r == rr {
+			t.Fatal("abandoned request was recycled")
+		}
+		if err := mpi.Send(comms[0], msg, 1, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("round %d got %q, want %q", i, got, msg)
+		}
+	}
+	if string(late) != "late" {
+		t.Fatalf("abandoned receive buffer rewritten to %q", late)
+	}
+}
+
+// TestKillRankFailsPendingAndFutureOps checks that killing a rank fails a
+// receive already pending on it and every later operation toward it with
+// a *mpi.RankError naming it, while pairs between live ranks keep working.
+func TestKillRankFailsPendingAndFutureOps(t *testing.T) {
+	comms, w := NewWorldComms(3)
+	pending := comms[0].Irecv(make([]byte, 8), 2, 0)
+	if err := w.KillRank(2); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]mpi.Request{
+		"pending recv": pending,
+		"later send":   comms[1].Isend(make([]byte, 8), 2, 0),
+		"later recv":   comms[1].Irecv(make([]byte, 8), 2, 0),
+	} {
+		var re *mpi.RankError
+		if err := r.Wait(); !errors.As(err, &re) || re.Rank != 2 {
+			t.Fatalf("%s: error %v, want *mpi.RankError for rank 2", name, err)
+		}
+	}
+	if err := w.KillRank(2); err != nil {
+		t.Fatalf("killing a dead rank again: %v", err)
+	}
+	got := make([]byte, 2)
+	rr := comms[1].Irecv(got, 0, 0)
+	if err := mpi.Send(comms[0], []byte("ok"), 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := rr.Wait(); err != nil || string(got) != "ok" {
+		t.Fatalf("live pair after kill: %q, %v", got, err)
 	}
 }

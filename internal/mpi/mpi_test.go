@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 // stubComm is a minimal in-memory Comm for exercising the package helpers
@@ -15,15 +16,28 @@ type stubComm struct {
 	recvErr    error
 }
 
-type stubRequest struct{ err error }
+type stubRequest = completed
 
-func (r stubRequest) Wait() error { return r.err }
+func (c *stubComm) Isend(buf []byte, dst, tag int) Request {
+	return c.Post(Op{Dir: DirSend, Buf: buf, Peer: dst, Tag: tag})
+}
+
+func (c *stubComm) Irecv(buf []byte, src, tag int) Request {
+	return c.Post(Op{Dir: DirRecv, Buf: buf, Peer: src, Tag: tag})
+}
+
+func (c *stubComm) Post(op Op) Request {
+	if op.Dir == DirSend {
+		return c.send(op.Buf, op.Peer, op.Tag)
+	}
+	return c.recv(op.Buf, op.Peer, op.Tag)
+}
 
 func (c *stubComm) Rank() int    { return c.rank }
 func (c *stubComm) Size() int    { return c.size }
 func (c *stubComm) Now() float64 { return 0 }
 
-func (c *stubComm) Isend(buf []byte, dst, tag int) Request {
+func (c *stubComm) send(buf []byte, dst, tag int) Request {
 	if err := CheckRank(c, dst); err != nil {
 		return stubRequest{err}
 	}
@@ -37,7 +51,7 @@ func (c *stubComm) Isend(buf []byte, dst, tag int) Request {
 	return stubRequest{}
 }
 
-func (c *stubComm) Irecv(buf []byte, src, tag int) Request {
+func (c *stubComm) recv(buf []byte, src, tag int) Request {
 	if err := CheckRank(c, src); err != nil {
 		return stubRequest{err}
 	}
@@ -119,3 +133,40 @@ func TestCheckRank(t *testing.T) {
 		t.Error("want error for negative rank")
 	}
 }
+
+func TestOpNormalize(t *testing.T) {
+	base := make([]byte, 16)
+	op, err := Op{Buf: base, Type: Contiguous(10)}.Normalize()
+	if err != nil || !op.Type.IsZero() || len(op.Buf) != 10 {
+		t.Errorf("contiguous layout: got %d-byte buf, type %+v, err %v", len(op.Buf), op.Type, err)
+	}
+	op, err = Op{Buf: base, Type: Vector(2, 3, 5)}.Normalize()
+	if err != nil || op.Type != Vector(2, 3, 5) || len(op.Buf) != 16 || op.Size() != 6 {
+		t.Errorf("strided layout must pass through: %+v, %v", op, err)
+	}
+	if _, err := (Op{Buf: base, Type: Vector(4, 4, 8)}).Normalize(); err == nil {
+		t.Error("want error for a layout past the base slice")
+	}
+}
+
+func TestWaitAllTimeoutSharesBudget(t *testing.T) {
+	block := make(chan error)
+	slow := chanReq(block)
+	start := time.Now()
+	err := WaitAllTimeout([]Request{slow, slow, Completed(nil)}, 20*time.Millisecond)
+	if !IsTimeout(err) {
+		t.Fatalf("err = %v, want a timeout", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("two blocked requests took %v: the budget must be shared, not per request", el)
+	}
+}
+
+// chanReq completes when its channel delivers.
+type chanReq chan error
+
+func (r chanReq) Await(d time.Duration) (TraceInfo, error) {
+	_, err := AwaitDone(r, d)
+	return TraceInfo{}, err
+}
+func (r chanReq) Wait() error { _, err := r.Await(0); return err }

@@ -106,6 +106,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 			return n, nil
 		}
 		if c.closed.Load() || c.rx.Closed() {
+			// The peer may have written its last bytes and closed between
+			// the drain above and this check: its close is ordered after
+			// those writes, so one more drain sees them all.
+			if n := c.rx.TryRead(p); n > 0 {
+				return n, nil
+			}
 			return 0, io.EOF
 		}
 		if deadlineExpired(&c.readDeadline) {

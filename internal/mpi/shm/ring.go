@@ -5,8 +5,7 @@
 //
 // The same ring code runs over two kinds of segment:
 //
-//   - in-process heap segments (NewSegment), used by the shm World for
-//     co-located ranks inside one process and by the tests/benchmarks;
+//   - in-process heap segments (NewSegment), used by Pipe and the tests;
 //   - cross-process /dev/shm mappings (MapSegment, linux), used by the
 //     distributed harness to link co-located aapcnode processes — the
 //     rendezvous host map decides which pairs qualify.
@@ -35,12 +34,8 @@ import (
 const headerBytes = 24
 
 // MinSegment is the smallest usable segment: header plus room for one
-// maximally small record.
-const MinSegment = headerBytes + recordHeader + 1
-
-// recordHeader is the per-record framing in record mode: u32 payload size
-// plus i64 tag.
-const recordHeader = 12
+// byte.
+const MinSegment = headerBytes + 1
 
 // Ring is one directed SPSC byte ring over a segment. At most one goroutine
 // (or process) may produce and one consume; the two may differ freely.
@@ -164,84 +159,4 @@ func (r *Ring) TryRead(p []byte) int {
 	r.copyOut(head, p[:n])
 	atomic.StoreUint64(r.head, head+uint64(n)) // release: free the space
 	return n
-}
-
-// WriteRecord publishes one [size u32][tag i64][payload] record atomically:
-// either the whole record enters the ring or nothing does (false when free
-// space is insufficient). Record and stream modes must not be mixed on one
-// ring. Producer side only.
-//
-//aapc:role producer
-func (r *Ring) WriteRecord(tag int64, p []byte) bool {
-	need := recordHeader + len(p)
-	if need > int(r.cap) {
-		return false // can never fit; caller must bound record sizes
-	}
-	tail := atomic.LoadUint64(r.tail)
-	head := atomic.LoadUint64(r.head)
-	if int(r.cap-(tail-head)) < need {
-		return false
-	}
-	var hdr [recordHeader]byte
-	putU32(hdr[0:4], uint32(len(p)))
-	putU64(hdr[4:12], uint64(tag))
-	r.copyIn(tail, hdr[:])
-	r.copyIn(tail+recordHeader, p)
-	atomic.StoreUint64(r.tail, tail+uint64(need))
-	return true
-}
-
-// PeekRecord returns the next record's tag and payload size without
-// consuming it; ok is false when the ring holds no complete record.
-// Consumer side only.
-//
-//aapc:role consumer
-func (r *Ring) PeekRecord() (tag int64, size int, ok bool) {
-	head := atomic.LoadUint64(r.head)
-	tail := atomic.LoadUint64(r.tail)
-	if tail-head < recordHeader {
-		return 0, 0, false
-	}
-	var hdr [recordHeader]byte
-	r.copyOut(head, hdr[:])
-	return int64(getU64(hdr[4:12])), int(getU32(hdr[0:4])), true
-}
-
-// ReadRecord consumes the next record, copying its payload into p (which
-// must hold PeekRecord's size). Consumer side only.
-//
-//aapc:role consumer
-func (r *Ring) ReadRecord(p []byte) {
-	head := atomic.LoadUint64(r.head)
-	r.copyOut(head+recordHeader, p)
-	atomic.StoreUint64(r.head, head+recordHeader+uint64(len(p)))
-}
-
-// Byte-order helpers (little endian, matching the tcp frame encoding).
-// encoding/binary is avoided here only to keep the record path free of
-// bounds-check noise in the hot loop; the layouts are identical.
-func putU32(b []byte, v uint32) {
-	_ = b[3]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func getU32(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

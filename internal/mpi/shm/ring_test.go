@@ -2,13 +2,12 @@ package shm
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
-
-	"github.com/aapc-sched/aapcsched/internal/mpi"
 )
 
 // TestRingStreamSPSC stresses the stream mode across two goroutines with a
@@ -46,91 +45,6 @@ func TestRingStreamSPSC(t *testing.T) {
 	}
 	if !bytes.Equal(got, src) {
 		t.Fatal("stream corrupted through ring")
-	}
-}
-
-// TestRingRecords checks record-mode framing: tags and payloads round-trip,
-// partial space rejects the whole record, and order is preserved.
-func TestRingRecords(t *testing.T) {
-	r := NewRing(64)
-	if ok := r.WriteRecord(7, make([]byte, 64)); ok {
-		t.Fatal("record larger than free space was accepted")
-	}
-	if !r.WriteRecord(1, []byte("alpha")) || !r.WriteRecord(2, []byte("")) || !r.WriteRecord(3, []byte("beta")) {
-		t.Fatal("records rejected with free space available")
-	}
-	want := []struct {
-		tag     int64
-		payload string
-	}{{1, "alpha"}, {2, ""}, {3, "beta"}}
-	for _, w := range want {
-		tag, size, ok := r.PeekRecord()
-		if !ok || tag != w.tag || size != len(w.payload) {
-			t.Fatalf("peek = (%d, %d, %v), want (%d, %d, true)", tag, size, ok, w.tag, len(w.payload))
-		}
-		buf := make([]byte, size)
-		r.ReadRecord(buf)
-		if string(buf) != w.payload {
-			t.Fatalf("record %d payload %q, want %q", w.tag, buf, w.payload)
-		}
-	}
-	if _, _, ok := r.PeekRecord(); ok {
-		t.Fatal("peek succeeded on drained ring")
-	}
-}
-
-// TestRingTypedRecords round-trips a strided layout through a record:
-// gather on write, scatter on read, wrapping the ring boundary.
-func TestRingTypedRecords(t *testing.T) {
-	r := NewRing(100)
-	// Fill and drain once so the next record wraps.
-	if !r.WriteRecord(0, make([]byte, 60)) {
-		t.Fatal("warm-up record rejected")
-	}
-	r.ReadRecord(make([]byte, 60))
-
-	src := make([]byte, 64)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	sdt := mpi.Vector(4, 8, 16) // blocks 0-7, 16-23, 32-39, 48-55
-	if !r.writeRecordTyped(5, src, sdt) {
-		t.Fatal("typed record rejected")
-	}
-	tag, size, ok := r.PeekRecord()
-	if !ok || tag != 5 || size != 32 {
-		t.Fatalf("peek = (%d, %d, %v), want (5, 32, true)", tag, size, ok)
-	}
-	dst := make([]byte, 64)
-	ddt := mpi.Vector(8, 4, 8) // different geometry, same 32 bytes
-	if placed := r.readRecordTyped(dst, ddt); placed != 32 {
-		t.Fatalf("placed %d bytes, want 32", placed)
-	}
-	packedSrc := make([]byte, 32)
-	sdt.Pack(packedSrc, src)
-	packedDst := make([]byte, 32)
-	ddt.Pack(packedDst, dst)
-	if !bytes.Equal(packedSrc, packedDst) {
-		t.Fatal("typed record did not preserve packed byte order")
-	}
-}
-
-// TestRingReadRecordTypedTruncates checks a too-small receive layout
-// consumes the whole record and reports the shorter placement.
-func TestRingReadRecordTypedTruncates(t *testing.T) {
-	r := NewRing(128)
-	if !r.WriteRecord(1, []byte("0123456789")) {
-		t.Fatal("record rejected")
-	}
-	dst := make([]byte, 4)
-	if placed := r.readRecordTyped(dst, mpi.Contiguous(4)); placed != 4 {
-		t.Fatalf("placed %d, want 4", placed)
-	}
-	if string(dst) != "0123" {
-		t.Fatalf("dst = %q", dst)
-	}
-	if r.Buffered() != 0 {
-		t.Fatalf("truncating read left %d bytes buffered", r.Buffered())
 	}
 }
 
@@ -202,6 +116,32 @@ func TestConnCloseSemantics(t *testing.T) {
 	}
 }
 
+// TestConnReadRacingClose has the reader polling an empty ring while the
+// peer writes its last bytes and closes at once: those bytes must always be
+// read before EOF, however the close interleaves with the reader's drain.
+func TestConnReadRacingClose(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		a, b := Pipe(64)
+		got := make(chan error, 1)
+		go func() {
+			buf := make([]byte, 3)
+			_, err := io.ReadFull(b, buf)
+			if err == nil && string(buf) != "end" {
+				err = fmt.Errorf("read %q", buf)
+			}
+			got <- err
+		}()
+		runtime.Gosched()
+		if _, err := a.Write([]byte("end")); err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		if err := <-got; err != nil {
+			t.Fatalf("iteration %d: last bytes lost to the close: %v", i, err)
+		}
+	}
+}
+
 // TestConnReadDeadline checks an expired deadline surfaces a timeout error
 // and a cleared deadline restores blocking reads.
 func TestConnReadDeadline(t *testing.T) {
@@ -218,5 +158,55 @@ func TestConnReadDeadline(t *testing.T) {
 	go a.Write([]byte("k"))
 	if _, err := io.ReadFull(b, buf); err != nil || buf[0] != 'k' {
 		t.Fatalf("read after clearing deadline = %q, %v", buf, err)
+	}
+}
+
+// TestRingPartialWrites checks the stream-mode accounting on one goroutine:
+// a write into a nearly full ring takes only what fits, reads drain in
+// order across the wrap, and an empty or full ring moves nothing.
+func TestRingPartialWrites(t *testing.T) {
+	r := NewRing(10)
+	if n := r.TryRead(make([]byte, 4)); n != 0 {
+		t.Fatalf("read from empty ring = %d, want 0", n)
+	}
+	if n := r.TryWrite([]byte("abcdefg")); n != 7 {
+		t.Fatalf("first write = %d, want 7", n)
+	}
+	got := make([]byte, 5)
+	if n := r.TryRead(got); n != 5 || string(got) != "abcde" {
+		t.Fatalf("first read = %d %q", n, got)
+	}
+	// 2 bytes buffered, 8 free; this write wraps the data area.
+	if n := r.TryWrite([]byte("hijklmnopq")); n != 8 {
+		t.Fatalf("wrapping write = %d, want 8 (the free space)", n)
+	}
+	if r.Buffered() != 10 || r.Free() != 0 {
+		t.Fatalf("full ring: buffered %d free %d", r.Buffered(), r.Free())
+	}
+	if n := r.TryWrite([]byte("x")); n != 0 {
+		t.Fatalf("write into full ring = %d, want 0", n)
+	}
+	all := make([]byte, 16)
+	n := r.TryRead(all)
+	if string(all[:n]) != "fghijklmno" {
+		t.Fatalf("drain after wrap = %q, want %q", all[:n], "fghijklmno")
+	}
+	if r.Buffered() != 0 || r.Free() != 10 {
+		t.Fatalf("drained ring: buffered %d free %d", r.Buffered(), r.Free())
+	}
+}
+
+// TestAttachRejectsBadSegment checks that Attach refuses segments too short
+// for the header plus one data byte and segments not 8-byte aligned.
+func TestAttachRejectsBadSegment(t *testing.T) {
+	if _, err := Attach(make([]byte, MinSegment-1)); err == nil {
+		t.Error("Attach accepted a segment shorter than MinSegment")
+	}
+	seg := NewSegment(MinSegment + 8)
+	if _, err := Attach(seg[1:]); err == nil {
+		t.Error("Attach accepted a misaligned segment")
+	}
+	if _, err := Attach(seg); err != nil {
+		t.Errorf("Attach rejected an aligned segment: %v", err)
 	}
 }

@@ -664,16 +664,8 @@ func (ep *endpoint) drain(p int) {
 		hdrs = hdrs[:n*headerLen]
 		iovecs = iovecs[:0]
 		for i, fr := range batch {
-			hdr := hdrs[i*headerLen : (i+1)*headerLen]
-			hdr[0] = fr.kind
-			binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(fr.tag)))
-			binary.LittleEndian.PutUint64(hdr[9:17], fr.seq)
-			binary.LittleEndian.PutUint64(hdr[17:25], uint64(int64(len(fr.buf))))
-			binary.LittleEndian.PutUint64(hdr[25:33], fr.ctx)
-			iovecs = append(iovecs, hdr)
-			if len(fr.buf) > 0 {
-				iovecs = append(iovecs, fr.buf)
-			}
+			// A strided frame contributes one iovec per block.
+			iovecs = appendFrame(iovecs, hdrs[i*headerLen:(i+1)*headerLen], fr)
 		}
 		// WriteTo consumes the slice it is handed; iovecs itself is rebuilt
 		// next cycle from the retained backing array.
@@ -684,7 +676,7 @@ func (ep *endpoint) drain(p int) {
 			ep.stats.framesSent.Add(uint64(len(batch)))
 			var bytes uint64
 			for _, fr := range batch {
-				bytes += uint64(len(fr.buf))
+				bytes += uint64(fr.size)
 			}
 			ep.stats.bytesSent.Add(bytes)
 			if ep.shmLink != nil && ep.shmLink[p] {
@@ -725,28 +717,61 @@ func (c *distComm) Kill() error { return c.ep.close() }
 // (FramesSent+AcksSent)/Writevs is the write-coalescing factor.
 func (c *distComm) TransportStats() Stats { return c.ep.stats.snapshot() }
 
-func (c *distComm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
+func (c *distComm) Isend(buf []byte, dst, tag int) mpi.Request {
+	return c.Post(mpi.Op{Dir: mpi.DirSend, Buf: buf, Peer: dst, Tag: tag})
+}
+
+func (c *distComm) Irecv(buf []byte, src, tag int) mpi.Request {
+	return c.Post(mpi.Op{Dir: mpi.DirRecv, Buf: buf, Peer: src, Tag: tag})
+}
+
+// Post implements mpi.Comm with the in-process World's wire format: the
+// trace context rides the frame header, a strided send goes out as one
+// iovec per block, and a strided receive is scattered by the shared
+// matcher.
+func (c *distComm) Post(o mpi.Op) mpi.Request {
+	if o.Tag < 0 {
+		return mpi.Completed(fmt.Errorf("tcp: negative tag %d is reserved", o.Tag))
 	}
+	o, err := o.Normalize()
+	if err != nil {
+		return mpi.Completed(err)
+	}
+	if err := mpi.CheckRank(c, o.Peer); err != nil {
+		return mpi.Completed(err)
+	}
+	if o.Dir == mpi.DirSend {
+		return c.isend(o)
+	}
+	return c.irecv(o)
+}
+
+func (c *distComm) isend(o mpi.Op) mpi.Request {
+	dst, size := o.Peer, o.Size()
 	if dst == c.ep.rank {
-		payload := c.ep.pool.get(len(buf))
-		copy(payload, buf)
-		if len(buf) > 0 {
+		payload := c.ep.pool.get(size)
+		packPayload(payload, o)
+		if size > 0 {
 			c.ep.stats.payloadCopies.Add(1)
 		}
-		c.ep.matcher.deliver(matchKey{src: dst, tag: tag}, payload, ctx)
-		return errRequest{nil}
+		c.ep.matcher.deliver(matchKey{src: dst, tag: o.Tag}, payload, o.Ctx)
+		return mpi.Completed(nil)
 	}
-	if len(buf) > 0 {
-		// The frame references the caller's slice until the vectored write
+	if size > 0 {
+		// The frame references the caller's memory until the vectored write
 		// completes — distributed peers do not retransmit, so like the
 		// in-process non-resilient mode every send borrows.
 		c.ep.stats.borrowedSends.Add(1)
 	}
+	fr := &outFrame{kind: frameData, tag: o.Tag, ctx: o.Ctx, size: size, done: make(chan error, 1)}
+	if o.Type.IsZero() {
+		fr.buf = o.Buf
+	} else {
+		fr.base, fr.dt = o.Buf, o.Type
+	}
 	q := c.ep.outq[dst]
 	q.mu.Lock()
-	fr := &outFrame{kind: frameData, tag: tag, seq: q.nextSeq, ctx: ctx, buf: buf, done: make(chan error, 1)}
+	fr.seq = q.nextSeq
 	q.nextSeq++
 	q.frames = append(q.frames, fr)
 	if !q.draining {
@@ -757,36 +782,11 @@ func (c *distComm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
 	return chanRequest{done: fr.done, fr: fr}
 }
 
-func (c *distComm) Isend(buf []byte, dst, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	return c.isend(buf, dst, tag, 0)
-}
-
-// IsendTraced attaches a trace context to the outgoing frame
-// (mpi.TracedSender); it shares the wire format with the in-process World.
-func (c *distComm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	return c.isend(buf, dst, tag, ctx)
-}
-
-func (c *distComm) irecv(buf []byte, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
-	}
-	op := c.ep.recvOps.get(buf)
-	c.ep.matcher.post(matchKey{src: src, tag: tag}, op)
+func (c *distComm) irecv(o mpi.Op) mpi.Request {
+	op := c.ep.recvOps.get(o.Buf)
+	op.dt = o.Type
+	c.ep.matcher.post(matchKey{src: o.Peer, tag: o.Tag}, op)
 	return op
-}
-
-func (c *distComm) Irecv(buf []byte, src, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	return c.irecv(buf, src, tag)
 }
 
 // Barrier is the same dissemination barrier as the in-process transport.
@@ -802,12 +802,12 @@ func (c *distComm) Barrier() error {
 		tag := -(gen*64 + round + 1)
 		dst := (c.ep.rank + dist) % n
 		src := (c.ep.rank - dist + n) % n
-		sr := c.isend(nil, dst, tag, 0)
-		rr := c.irecv(nil, src, tag)
-		if err := sr.Wait(); err != nil {
+		// As in the in-process world, the receive is posted only after
+		// the signal's write, so a failed send leaves no receive behind.
+		if err := c.isend(mpi.Op{Dir: mpi.DirSend, Peer: dst, Tag: tag}).Wait(); err != nil {
 			return err
 		}
-		if err := rr.Wait(); err != nil {
+		if err := c.irecv(mpi.Op{Dir: mpi.DirRecv, Peer: src, Tag: tag}).Wait(); err != nil {
 			return err
 		}
 		round++

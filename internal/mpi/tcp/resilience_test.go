@@ -244,7 +244,7 @@ func TestPeerDeathDuringReconnect(t *testing.T) {
 	if err := comms[1].(mpi.Killer).Kill(); err != nil {
 		t.Fatal(err)
 	}
-	err = mpi.WaitTimeout(req, 10*time.Second)
+	_, err = req.Await(10 * time.Second)
 	re, ok := mpi.AsRankError(err)
 	if !ok || re.Rank != 1 {
 		t.Fatalf("send caught mid-reconnect by peer death: got %v, want RankError{Rank: 1}", err)

@@ -88,7 +88,7 @@ func DefaultResilience() Resilience {
 // Config collects the tunable behaviour of a World.
 type Config struct {
 	// OpDeadline, when positive, bounds every wait inside Barrier and is
-	// the default deadline handed to WaitTimeout-aware callers. Zero means
+	// the default deadline for callers that bound their waits. Zero means
 	// unbounded.
 	OpDeadline time.Duration
 	// Resilient enables sequence numbers, acks, retransmission and
@@ -353,9 +353,9 @@ type outFrame struct {
 	// doneAt is the sender-local completion timestamp (seconds since the
 	// world/endpoint epoch), stamped just before done is signalled on traced
 	// data frames. It is the sender's honest "my bytes left at T" mark — a
-	// request whose Wait is drained much later must not misreport its send
+	// request whose wait is drained much later must not misreport its send
 	// as having lasted until the drain. The channel send orders the write
-	// before any WaitTraced read.
+	// before the request's Await reads it.
 	doneAt float64
 	// buf is the contiguous payload. Strided frames (non-contig datatype
 	// sends) leave buf nil and carry base+dt instead: buildIovecs emits one
@@ -478,8 +478,8 @@ type matchKey struct {
 // the caller: Wait consumes the completion and recycles the op (and its
 // one-slot channel) through its pool, so a steady stream of receives reuses
 // a small set of op/channel pairs instead of allocating per message. Ops
-// abandoned by a WaitTimeout timeout are never recycled: a late delivery
-// may still write their buffer and channel.
+// abandoned by a bounded Await are never recycled: a late delivery may
+// still write their buffer and channel.
 type recvOp struct {
 	pool *recvOpPool // nil: the op falls to the GC instead
 	buf  []byte
@@ -489,26 +489,21 @@ type recvOp struct {
 	dt   mpi.Datatype
 	done chan error
 	// ctx/deliveredAt carry the matched frame's trace context and delivery
-	// time. Written by the matcher before the done send, read by WaitTraced
+	// time. Written by the matcher before the done send, read by Await
 	// after the done receive (and before recycling), so the channel orders
 	// the accesses.
 	ctx         uint64
 	deliveredAt float64
 }
 
-func (o *recvOp) Wait() error {
-	err := <-o.done
-	if o.pool != nil {
-		o.pool.put(o)
+// Await implements mpi.Request: the sender's trace context and the frame's
+// delivery time are read before the op is recycled — reading them after
+// would race the freelist. A timed-out op is abandoned, never recycled.
+func (o *recvOp) Await(d time.Duration) (mpi.TraceInfo, error) {
+	ok, err := mpi.AwaitDone(o.done, d)
+	if !ok {
+		return mpi.TraceInfo{}, err
 	}
-	return err
-}
-
-// WaitTraced waits and returns the sender's trace context and the frame's
-// delivery time (mpi.TracedRequest). The info is read before the op is
-// recycled — reading it after Wait would race the freelist.
-func (o *recvOp) WaitTraced() (mpi.TraceInfo, error) {
-	err := <-o.done
 	info := mpi.TraceInfo{Ctx: o.ctx, DeliveredAt: o.deliveredAt}
 	if o.pool != nil {
 		o.pool.put(o)
@@ -516,45 +511,7 @@ func (o *recvOp) WaitTraced() (mpi.TraceInfo, error) {
 	return info, err
 }
 
-// WaitTimeout bounds the wait (mpi.TimedRequest). The operation is
-// abandoned on timeout: its buffer must not be reused and the op is left to
-// the garbage collector rather than recycled.
-func (o *recvOp) WaitTimeout(d time.Duration) error {
-	if d <= 0 {
-		return o.Wait()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		if o.pool != nil {
-			o.pool.put(o)
-		}
-		return err
-	case <-t.C:
-		return &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
-
-// WaitTracedTimeout bounds WaitTraced (mpi.TracedTimedRequest). On timeout
-// the op is abandoned like WaitTimeout and the info is zero.
-func (o *recvOp) WaitTracedTimeout(d time.Duration) (mpi.TraceInfo, error) {
-	if d <= 0 {
-		return o.WaitTraced()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-o.done:
-		info := mpi.TraceInfo{Ctx: o.ctx, DeliveredAt: o.deliveredAt}
-		if o.pool != nil {
-			o.pool.put(o)
-		}
-		return info, err
-	case <-t.C:
-		return mpi.TraceInfo{}, &mpi.TimeoutError{Op: "wait", After: d}
-	}
-}
+func (o *recvOp) Wait() error { _, err := o.Await(0); return err }
 
 // recvOpFreeCap bounds a recvOp freelist; beyond it ops fall to the GC.
 const recvOpFreeCap = 1024
@@ -1336,22 +1293,8 @@ func (b *writeBatch) buildIovecs() {
 	b.iovecs = b.iovecs[:0]
 	hi := 0
 	emit := func(fr *outFrame) {
-		hdr := b.hdrs[hi*headerLen : (hi+1)*headerLen]
+		b.iovecs = appendFrame(b.iovecs, b.hdrs[hi*headerLen:(hi+1)*headerLen], fr)
 		hi++
-		hdr[0] = fr.kind
-		binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(fr.tag)))
-		binary.LittleEndian.PutUint64(hdr[9:17], fr.seq)
-		binary.LittleEndian.PutUint64(hdr[17:25], uint64(int64(fr.size)))
-		binary.LittleEndian.PutUint64(hdr[25:33], fr.ctx)
-		b.iovecs = append(b.iovecs, hdr)
-		switch {
-		case fr.base != nil:
-			for i := 0; i < fr.dt.Count(); i++ {
-				b.iovecs = append(b.iovecs, fr.dt.Block(fr.base, i))
-			}
-		case len(fr.buf) > 0:
-			b.iovecs = append(b.iovecs, fr.buf)
-		}
 	}
 	for _, fr := range b.frames {
 		emit(fr)
@@ -1363,6 +1306,30 @@ func (b *writeBatch) buildIovecs() {
 		b.ack = outFrame{kind: frameAck, seq: b.ackSeq}
 		emit(&b.ack)
 	}
+}
+
+// appendFrame encodes fr's header into hdr and appends the header and the
+// payload iovecs: the contiguous buffer, or one iovec per block of a strided
+// frame (base+dt) — the writev gathers the caller's layout directly.
+//
+//aapc:noalloc
+//aapc:nocopy payload rides the iovec list by reference into writev
+func appendFrame(iovecs net.Buffers, hdr []byte, fr *outFrame) net.Buffers {
+	hdr[0] = fr.kind
+	binary.LittleEndian.PutUint64(hdr[1:9], uint64(int64(fr.tag)))
+	binary.LittleEndian.PutUint64(hdr[9:17], fr.seq)
+	binary.LittleEndian.PutUint64(hdr[17:25], uint64(int64(fr.size)))
+	binary.LittleEndian.PutUint64(hdr[25:33], fr.ctx)
+	iovecs = append(iovecs, hdr)
+	switch {
+	case !fr.dt.IsZero():
+		for i := 0; i < fr.dt.Count(); i++ {
+			iovecs = append(iovecs, fr.dt.Block(fr.base, i))
+		}
+	case len(fr.buf) > 0:
+		iovecs = append(iovecs, fr.buf)
+	}
+	return iovecs
 }
 
 // release clears the in-flight marks of the batch, retiring frames whose
@@ -1820,8 +1787,7 @@ func (m *matcher) complete(op *recvOp, ctx uint64, err error) {
 // unclaim it and break the link); opErr is a per-operation delivery error
 // (truncation) with the stream itself still healthy.
 //
-//aapc:nocopy contiguous receives land straight off the socket; staging is
-// confined to the strided-scatter and truncation fallbacks
+//aapc:nocopy contiguous receives land straight off the socket; staging only in the strided-scatter and truncation fallbacks
 func (w *World) readIntoOp(conn net.Conn, op *recvOp, size int) (sockErr, opErr error) {
 	if !op.dt.IsZero() && !op.dt.Contig() {
 		// Strided destination: stage contiguously, scatter into the blocks —
@@ -1913,132 +1879,137 @@ func (c *comm) OpDeadline() time.Duration { return c.w.cfg.OpDeadline }
 // ranks of the in-process world).
 func (c *comm) TransportStats() Stats { return c.w.stats.snapshot() }
 
-// chanRequest is a send request: completion arrives on done, and fr (when
-// non-nil) carries the trace context and sender-local completion stamp for
-// WaitTraced. The frame is only read after the done receive, which orders
-// the completer's writes.
+// chanRequest is a send request: completion arrives on done, and fr
+// carries the trace context and sender-local completion stamp. The frame is
+// only read after the done receive, which orders the completer's writes.
 type chanRequest struct {
 	done chan error
 	fr   *outFrame
 }
 
-func (r chanRequest) Wait() error { return <-r.done }
-
-// WaitTimeout bounds the wait (mpi.TimedRequest). The operation is
-// abandoned on timeout: its buffer must not be reused.
-func (r chanRequest) WaitTimeout(d time.Duration) error {
-	if d <= 0 {
-		return <-r.done
+// Await implements mpi.Request. A timed-out send is abandoned: its buffer
+// must not be reused.
+func (r chanRequest) Await(d time.Duration) (mpi.TraceInfo, error) {
+	ok, err := mpi.AwaitDone(r.done, d)
+	if !ok {
+		return mpi.TraceInfo{}, err
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-r.done:
-		return err
-	case <-t.C:
-		return &mpi.TimeoutError{Op: "wait", After: d}
-	}
+	return mpi.TraceInfo{Ctx: r.fr.ctx, DeliveredAt: r.fr.doneAt}, err
 }
 
-func (r chanRequest) info() mpi.TraceInfo {
-	if r.fr == nil {
-		return mpi.TraceInfo{}
-	}
-	return mpi.TraceInfo{Ctx: r.fr.ctx, DeliveredAt: r.fr.doneAt}
+func (r chanRequest) Wait() error { _, err := r.Await(0); return err }
+
+func (c *comm) Isend(buf []byte, dst, tag int) mpi.Request {
+	return c.Post(mpi.Op{Dir: mpi.DirSend, Buf: buf, Peer: dst, Tag: tag})
 }
 
-// WaitTraced returns the send's trace info (mpi.TracedRequest).
-func (r chanRequest) WaitTraced() (mpi.TraceInfo, error) {
-	err := <-r.done
-	return r.info(), err
+func (c *comm) Irecv(buf []byte, src, tag int) mpi.Request {
+	return c.Post(mpi.Op{Dir: mpi.DirRecv, Buf: buf, Peer: src, Tag: tag})
 }
 
-// WaitTracedTimeout bounds the traced wait (mpi.TracedTimedRequest).
-func (r chanRequest) WaitTracedTimeout(d time.Duration) (mpi.TraceInfo, error) {
-	if d <= 0 {
-		return r.WaitTraced()
+// Post implements mpi.Comm. The trace context rides the wire in the frame
+// header and surfaces on the matching receive's Await. A strided send
+// rides the writev batch as one iovec per block, so the bytes go from the
+// caller's matrix to the kernel with no intermediate buffer at all; a
+// strided receive scatters the payload into its blocks at match time.
+func (c *comm) Post(o mpi.Op) mpi.Request {
+	if o.Tag < 0 {
+		return mpi.Completed(fmt.Errorf("tcp: negative tag %d is reserved", o.Tag))
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case err := <-r.done:
-		return r.info(), err
-	case <-t.C:
-		return mpi.TraceInfo{}, &mpi.TimeoutError{Op: "wait", After: d}
+	o, err := o.Normalize()
+	if err != nil {
+		return mpi.Completed(err)
 	}
+	if o.Dir == mpi.DirSend {
+		return c.isend(o)
+	}
+	return c.irecv(o)
 }
 
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error                     { return r.err }
-func (r errRequest) WaitTimeout(time.Duration) error { return r.err }
-
-// isend frames and queues buf toward dst without blocking the caller.
-// Frames for one destination are written by a single writer in enqueue
-// order, so MPI's non-overtaking guarantee holds per (source, destination,
-// tag).
+// isend frames and queues the op's payload toward its peer without
+// blocking the caller. Frames for one destination are written by a single
+// writer in enqueue order, so MPI's non-overtaking guarantee holds per
+// (source, destination, tag).
 //
-//aapc:nocopy the borrowed path is the steady state; staging copies are
-// confined to the annotated small-message and self-send fallbacks
-func (c *comm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
+//aapc:nocopy the borrowed path is the steady state; staging copies only in the annotated small-message and self-send fallbacks
+func (c *comm) isend(o mpi.Op) mpi.Request {
+	dst := o.Peer
 	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
+		return mpi.Completed(err)
 	}
 	if err := c.w.rankDead(c.rank); err != nil {
-		return errRequest{&mpi.RankError{Rank: c.rank, Err: err}}
+		return mpi.Completed(&mpi.RankError{Rank: c.rank, Err: err})
 	}
 	if err := c.w.rankDead(dst); err != nil {
-		return errRequest{&mpi.RankError{Rank: dst, Err: err}}
+		return mpi.Completed(&mpi.RankError{Rank: dst, Err: err})
 	}
+	size := o.Size()
 	if dst == c.rank {
 		// Self-send: loop through the matcher directly, via a pooled copy.
-		payload := c.w.pool.get(len(buf))
-		copy(payload, buf)
-		if len(buf) > 0 {
+		payload := c.w.pool.get(size)
+		packPayload(payload, o)
+		if size > 0 {
 			c.w.stats.payloadCopies.Add(1)
 		}
-		c.w.matchers[c.rank].deliver(matchKey{src: c.rank, tag: tag}, payload, ctx)
-		return errRequest{nil}
+		c.w.matchers[c.rank].deliver(matchKey{src: c.rank, tag: o.Tag}, payload, o.Ctx)
+		return mpi.Completed(nil)
 	}
 	st := c.w.streams[c.rank][dst]
 	st.mu.Lock()
 	if st.failed != nil {
 		err := st.failed
 		st.mu.Unlock()
-		return errRequest{err}
+		return mpi.Completed(err)
 	}
-	data := buf
-	poolable, borrowed := false, false
-	if c.w.cfg.Resilient && len(buf) > 0 {
-		if len(buf) >= zeroCopyMin || poolAligned(buf) {
+	fr := &outFrame{kind: frameData, tag: o.Tag, ctx: o.Ctx, size: size, done: make(chan error, 1)}
+	switch {
+	case !o.Type.IsZero():
+		// Strided frames always borrow: packing up front would be exactly
+		// the copy this path exists to remove. In resilient mode completion
+		// defers to the cumulative ack like any borrowed frame.
+		fr.base, fr.dt, fr.borrowed = o.Buf, o.Type, c.w.cfg.Resilient
+		c.w.stats.borrowedSends.Add(1)
+	case c.w.cfg.Resilient && size > 0:
+		if size >= zeroCopyMin || poolAligned(o.Buf) {
 			// Borrow: the caller's bytes ride the writev batch directly and
 			// the request completes only when the cumulative ack retires the
 			// frame — until then MPI's no-modify rule keeps them stable, so
 			// retransmissions can reuse them verbatim. Zero copies.
-			borrowed = true
+			fr.buf, fr.borrowed = o.Buf, true
 			c.w.stats.borrowedSends.Add(1)
 		} else {
 			// Copy: for small, non-pool-aligned buffers the ack-deferred
 			// completion costs more than the copy. The pooled copy makes the
 			// frame retransmittable forever and completes at first write.
-			data = c.w.pool.get(len(buf))
+			fr.buf = c.w.pool.get(size)
 			//aapc:allow copycount deliberate: below zeroCopyMin the copy beats ack-deferred completion
-			copy(data, buf)
-			poolable = true
+			copy(fr.buf, o.Buf)
+			fr.poolable = true
 			c.w.stats.copiedSends.Add(1)
 			c.w.stats.payloadCopies.Add(1)
 		}
-	} else if len(buf) > 0 {
+	default:
 		// Non-resilient mode always borrows (nothing ever retransmits).
-		c.w.stats.borrowedSends.Add(1)
+		fr.buf = o.Buf
+		if size > 0 {
+			c.w.stats.borrowedSends.Add(1)
+		}
 	}
-	fr := &outFrame{kind: frameData, tag: tag, ctx: ctx, buf: data, size: len(data),
-		done: make(chan error, 1), poolable: poolable, borrowed: borrowed}
 	st.queue = append(st.queue, fr)
 	st.enq++
 	st.cond.Signal()
 	st.mu.Unlock()
 	return chanRequest{done: fr.done, fr: fr}
+}
+
+// packPayload gathers a send op's payload into the contiguous dst (which
+// holds o.Size() bytes): the staging copy of self-sends.
+func packPayload(dst []byte, o mpi.Op) {
+	if o.Type.IsZero() {
+		copy(dst, o.Buf)
+		return
+	}
+	o.Type.Pack(dst, o.Buf)
 }
 
 // zeroCopyMin is the smallest payload that borrows the caller's buffer
@@ -2046,105 +2017,6 @@ func (c *comm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
 // than deferring completion to the ack — unless the slice is already
 // pool-aligned, in which case borrowing costs nothing extra.
 const zeroCopyMin = 1024
-
-func (c *comm) Isend(buf []byte, dst, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	return c.isend(buf, dst, tag, 0)
-}
-
-// IsendTraced attaches a trace context to the outgoing frame
-// (mpi.TracedSender): the context rides the wire in the frame header and
-// surfaces on the matching receive's WaitTraced.
-func (c *comm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	return c.isend(buf, dst, tag, ctx)
-}
-
-// IsendTyped starts a zero-copy send of the dt-described bytes of base
-// (mpi.TypedComm). Contiguous layouts are normalized to the plain path; a
-// strided layout rides the writev batch as one iovec per block, so the
-// bytes go from the caller's matrix to the kernel with no intermediate
-// buffer at all.
-//
-//aapc:nocopy
-func (c *comm) IsendTyped(base []byte, dt mpi.Datatype, dst, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
-	}
-	if dt.Contig() {
-		return c.isend(base[:dt.Size()], dst, tag, 0)
-	}
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
-	}
-	if err := c.w.rankDead(c.rank); err != nil {
-		return errRequest{&mpi.RankError{Rank: c.rank, Err: err}}
-	}
-	if err := c.w.rankDead(dst); err != nil {
-		return errRequest{&mpi.RankError{Rank: dst, Err: err}}
-	}
-	size := dt.Size()
-	if dst == c.rank {
-		// Self-send: pack the strided layout into a pooled loopback copy.
-		payload := c.w.pool.get(size)
-		dt.Pack(payload, base)
-		if size > 0 {
-			c.w.stats.payloadCopies.Add(1)
-		}
-		c.w.matchers[c.rank].deliver(matchKey{src: c.rank, tag: tag}, payload, 0)
-		return errRequest{nil}
-	}
-	st := c.w.streams[c.rank][dst]
-	st.mu.Lock()
-	if st.failed != nil {
-		err := st.failed
-		st.mu.Unlock()
-		return errRequest{err}
-	}
-	// Strided frames always borrow: packing up front would be exactly the
-	// copy this path exists to remove. In resilient mode completion defers
-	// to the cumulative ack like any borrowed frame.
-	c.w.stats.borrowedSends.Add(1)
-	fr := &outFrame{kind: frameData, tag: tag, base: base, dt: dt, size: size,
-		done: make(chan error, 1), borrowed: c.w.cfg.Resilient}
-	st.queue = append(st.queue, fr)
-	st.enq++
-	st.cond.Signal()
-	st.mu.Unlock()
-	return chanRequest{done: fr.done, fr: fr}
-}
-
-// IrecvTyped posts a receive that scatters incoming payload bytes into the
-// dt-described blocks of base (mpi.TypedComm). Contiguous layouts place
-// bytes straight off the socket; strided ones stage once and scatter.
-func (c *comm) IrecvTyped(base []byte, dt mpi.Datatype, src, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	if err := dt.Validate(len(base)); err != nil {
-		return errRequest{err}
-	}
-	if dt.Contig() {
-		return c.irecv(base[:dt.Size()], src, tag)
-	}
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
-	}
-	if err := c.w.rankDead(c.rank); err != nil {
-		return errRequest{&mpi.RankError{Rank: c.rank, Err: err}}
-	}
-	op := c.w.recvOps.get(base)
-	op.dt = dt
-	c.w.matchers[c.rank].post(matchKey{src: src, tag: tag}, op)
-	return op
-}
 
 // Flush blocks until every frame this rank has so far accepted toward dst
 // has completed at least one full socket write — the bytes are in the
@@ -2193,23 +2065,19 @@ func (c *comm) Flush(dst int, d time.Duration) error {
 	return &mpi.TimeoutError{Op: "flush", After: d}
 }
 
-func (c *comm) irecv(buf []byte, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
+// irecv posts a receive; a strided layout (o.Type) is scattered into at
+// match time.
+func (c *comm) irecv(o mpi.Op) mpi.Request {
+	if err := mpi.CheckRank(c, o.Peer); err != nil {
+		return mpi.Completed(err)
 	}
 	if err := c.w.rankDead(c.rank); err != nil {
-		return errRequest{&mpi.RankError{Rank: c.rank, Err: err}}
+		return mpi.Completed(&mpi.RankError{Rank: c.rank, Err: err})
 	}
-	op := c.w.recvOps.get(buf)
-	c.w.matchers[c.rank].post(matchKey{src: src, tag: tag}, op)
+	op := c.w.recvOps.get(o.Buf)
+	op.dt = o.Type
+	c.w.matchers[c.rank].post(matchKey{src: o.Peer, tag: o.Tag}, op)
 	return op
-}
-
-func (c *comm) Irecv(buf []byte, src, tag int) mpi.Request {
-	if tag < 0 {
-		return errRequest{fmt.Errorf("tcp: negative tag %d is reserved", tag)}
-	}
-	return c.irecv(buf, src, tag)
 }
 
 // Barrier runs a dissemination barrier over the transport itself:
@@ -2230,12 +2098,13 @@ func (c *comm) Barrier() error {
 		tag := -(gen*64 + round + 1)
 		dst := (c.rank + dist) % n
 		src := (c.rank - dist + n) % n
-		sr := c.isend(nil, dst, tag, 0)
-		rr := c.irecv(nil, src, tag)
-		if err := mpi.WaitTimeout(sr, d); err != nil {
+		// The empty signal completes at its socket write; the receive is
+		// posted only after it, so a failed send leaves no receive behind.
+		// An early-arriving signal waits in the matcher meanwhile.
+		if _, err := c.isend(mpi.Op{Dir: mpi.DirSend, Peer: dst, Tag: tag}).Await(d); err != nil {
 			return fmt.Errorf("tcp: barrier round %d: %w", round, err)
 		}
-		if err := mpi.WaitTimeout(rr, d); err != nil {
+		if _, err := c.irecv(mpi.Op{Dir: mpi.DirRecv, Peer: src, Tag: tag}).Await(d); err != nil {
 			return fmt.Errorf("tcp: barrier round %d: %w", round, err)
 		}
 		round++

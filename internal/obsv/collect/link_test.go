@@ -2,6 +2,7 @@ package collect
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,20 +11,27 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
 	"github.com/aapc-sched/aapcsched/internal/mpi/tcp"
 	"github.com/aapc-sched/aapcsched/internal/obsv"
+	"github.com/aapc-sched/aapcsched/internal/simnet"
 )
 
-// Causal-linking invariants, exercised against the real transports: every
+// Causal-linking invariants, exercised against every transport: every
 // cross-rank data receive must carry exactly one causal edge to its true
 // sender span, and that must stay true when the wire misbehaves —
 // retransmitted frames reuse their trace context, and the duplicate discard
 // below the matcher keeps a re-delivered message from minting a second
-// edge.
+// edge — and when the data sends are strided datatype sends.
 
 const linkTestRanks = 4
 
+// linkStride is the gap the strided variant leaves between 16-byte blocks
+// of each send: the payload is gathered out of a sparse base buffer.
+const linkStride = 24
+
 // tracedExchange sends one patterned message per directed pair through an
-// instrumented comm, several rounds, and returns per-rank recorders.
-func tracedExchange(t *testing.T, rounds, msize int, run func(fn func(c mpi.Comm) error) error) []*obsv.Recorder {
+// instrumented comm, several rounds, and returns per-rank recorders. With
+// strided set, every send is a Vector datatype send out of a sparse base
+// buffer (receives stay contiguous), so typed data sends are linked too.
+func tracedExchange(t *testing.T, rounds, msize int, strided bool, run func(fn func(c mpi.Comm) error) error) []*obsv.Recorder {
 	t.Helper()
 	recs := make([]*obsv.Recorder, linkTestRanks)
 	for i := range recs {
@@ -43,7 +51,13 @@ func tracedExchange(t *testing.T, rounds, msize int, run func(fn func(c mpi.Comm
 				for i := range out {
 					out[i] = byte(me + p + round + i)
 				}
-				reqs = append(reqs, c.Isend(out, p, 7))
+				send := mpi.Op{Dir: mpi.DirSend, Buf: out, Peer: p, Tag: 7}
+				if strided {
+					send.Type = mpi.Vector(msize/16, 16, linkStride)
+					send.Buf = make([]byte, send.Type.Extent())
+					send.Type.Unpack(send.Buf, out)
+				}
+				reqs = append(reqs, c.Post(send))
 				bufs[p] = make([]byte, msize)
 				reqs = append(reqs, c.Irecv(bufs[p], p, 7))
 			}
@@ -130,65 +144,128 @@ func checkLinking(t *testing.T, recs []*obsv.Recorder, wantRecvs int) {
 	}
 }
 
-func TestCausalLinkingMem(t *testing.T) {
-	const rounds = 3
-	recs := tracedExchange(t, rounds, 256, func(fn func(c mpi.Comm) error) error {
-		return mem.Run(linkTestRanks, fn)
-	})
-	checkLinking(t, recs, rounds*linkTestRanks*(linkTestRanks-1))
+// linkCase is one transport under the linking test. setup builds a fresh
+// runner per subtest (fault injectors are stateful); a non-nil injector
+// must have fired, or the case did not exercise what it claims.
+type linkCase struct {
+	name  string
+	setup func(t *testing.T) (func(fn func(c mpi.Comm) error) error, *faults.Injector)
 }
 
-func TestCausalLinkingTCP(t *testing.T) {
-	const rounds = 3
-	recs := tracedExchange(t, rounds, 256, func(fn func(c mpi.Comm) error) error {
-		return tcp.Run(linkTestRanks, fn)
-	})
-	checkLinking(t, recs, rounds*linkTestRanks*(linkTestRanks-1))
-}
-
-// TestCausalLinkingTCPReconnect drops connections under live traffic so the
-// transport reconnects and retransmits. A retransmitted frame carries the
-// same trace context; the receive cursor discards the re-delivered copy, so
-// the causal edge count must not change.
-func TestCausalLinkingTCPReconnect(t *testing.T) {
-	plan, err := faults.ParsePlanString(`
-seed 7
-drop 0 1 count 2
-drop 2 3 after 1 count 1
-drop 1 2 count 1
-`)
+// injected builds an injector from a plan in the fault DSL.
+func injected(t *testing.T, plan string) *faults.Injector {
+	t.Helper()
+	p, err := faults.ParsePlanString(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faults.New(plan)
-	const rounds = 3
-	recs := tracedExchange(t, rounds, 256, func(fn func(c mpi.Comm) error) error {
-		return tcp.Run(linkTestRanks, fn, tcp.WithFaults(inj))
-	})
-	if len(inj.Events()) == 0 {
-		t.Fatal("no faults fired; the reconnect path was not exercised")
-	}
-	checkLinking(t, recs, rounds*linkTestRanks*(linkTestRanks-1))
+	return faults.New(p)
 }
 
-// TestCausalLinkingUnderCommDelay wraps the traced transport in the
-// comm-level injector: tracing must survive the wrapper (IsendTraced
-// passthrough) so attribution still works on exactly the runs where faults
-// are being injected.
-func TestCausalLinkingUnderCommDelay(t *testing.T) {
-	plan, err := faults.ParsePlanString("delay 1 2 200us count 2")
-	if err != nil {
-		t.Fatal(err)
+func linkCases() []linkCase {
+	return []linkCase{
+		{"mem", func(t *testing.T) (func(fn func(c mpi.Comm) error) error, *faults.Injector) {
+			return func(fn func(c mpi.Comm) error) error { return mem.Run(linkTestRanks, fn) }, nil
+		}},
+		// The comm-level injector wraps the traced transport: tracing must
+		// survive the wrapper so attribution still works on exactly the runs
+		// where faults are being injected.
+		{"mem-commdelay", func(t *testing.T) (func(fn func(c mpi.Comm) error) error, *faults.Injector) {
+			inj := injected(t, "delay 1 2 200us count 2")
+			return func(fn func(c mpi.Comm) error) error {
+				return mem.Run(linkTestRanks, func(c mpi.Comm) error { return fn(inj.Wrap(c)) })
+			}, inj
+		}},
+		{"tcp", func(t *testing.T) (func(fn func(c mpi.Comm) error) error, *faults.Injector) {
+			return func(fn func(c mpi.Comm) error) error { return tcp.Run(linkTestRanks, fn) }, nil
+		}},
+		// Dropped connections make the transport reconnect and retransmit.
+		// A retransmitted frame carries the same trace context; the receive
+		// cursor discards the re-delivered copy, so the causal edge count
+		// must not change.
+		{"tcp-reconnect", func(t *testing.T) (func(fn func(c mpi.Comm) error) error, *faults.Injector) {
+			inj := injected(t, "seed 7\ndrop 0 1 count 2\ndrop 2 3 after 1 count 1\ndrop 1 2 count 1")
+			return func(fn func(c mpi.Comm) error) error {
+				return tcp.Run(linkTestRanks, fn, tcp.WithFaults(inj))
+			}, inj
+		}},
+		{"distributed-shm", func(t *testing.T) (func(fn func(c mpi.Comm) error) error, *faults.Injector) {
+			return distributedRunner(linkTestRanks), nil
+		}},
+		{"distributed-tcp", func(t *testing.T) (func(fn func(c mpi.Comm) error) error, *faults.Injector) {
+			return distributedRunner(linkTestRanks, tcp.WithoutSharedMemory()), nil
+		}},
+		{"simnet", func(t *testing.T) (func(fn func(c mpi.Comm) error) error, *faults.Injector) {
+			return func(fn func(c mpi.Comm) error) error {
+				w, err := simnet.NewWorld(simnet.Config{Graph: starGraph(t, linkTestRanks)})
+				if err != nil {
+					return err
+				}
+				return w.Run(fn)
+			}, nil
+		}},
 	}
-	inj := faults.New(plan)
-	const rounds = 2
-	recs := tracedExchange(t, rounds, 256, func(fn func(c mpi.Comm) error) error {
-		return mem.Run(linkTestRanks, func(c mpi.Comm) error {
-			return fn(inj.Wrap(c))
-		})
-	})
-	if len(inj.Events()) == 0 {
-		t.Fatal("no faults fired; test is vacuous")
+}
+
+// TestCausalLinking checks the causal bijection on every transport, with
+// contiguous and with strided data sends.
+func TestCausalLinking(t *testing.T) {
+	const rounds = 3
+	for _, tc := range linkCases() {
+		for _, strided := range []bool{false, true} {
+			name := tc.name
+			if strided {
+				name += "/strided"
+			}
+			t.Run(name, func(t *testing.T) {
+				run, inj := tc.setup(t)
+				recs := tracedExchange(t, rounds, 256, strided, run)
+				if inj != nil && len(inj.Events()) == 0 {
+					t.Fatal("no faults fired; the case is vacuous")
+				}
+				checkLinking(t, recs, rounds*linkTestRanks*(linkTestRanks-1))
+			})
+		}
 	}
-	checkLinking(t, recs, rounds*linkTestRanks*(linkTestRanks-1))
+}
+
+// distributedRunner runs fn on n ranks joined through a real coordinator
+// rendezvous — the aapcnode deployment path — on this one host, so the
+// mesh links through shm pair segments unless opts force sockets.
+func distributedRunner(n int, opts ...tcp.JoinOption) func(fn func(c mpi.Comm) error) error {
+	return func(fn func(c mpi.Comm) error) error {
+		coord, err := tcp.StartCoordinator("127.0.0.1:0", n)
+		if err != nil {
+			return err
+		}
+		defer coord.Close()
+		var wg sync.WaitGroup
+		errs := make(chan error, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, closeFn, err := tcp.Join(coord.Addr(), opts...)
+				if err != nil {
+					errs <- err
+					return
+				}
+				err = fn(c)
+				// Close only after every rank is done with the mesh.
+				if berr := c.Barrier(); err == nil {
+					err = berr
+				}
+				closeFn()
+				errs <- err
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/mpi/mem"
@@ -191,6 +192,33 @@ func TestInstrumentNilRecorderPassthrough(t *testing.T) {
 	}
 	if m := MarkerFor(Instrument(comms[0], NewRecorder(0))); m == nil {
 		t.Error("MarkerFor on an instrumented comm must not be nil")
+	}
+}
+
+// flushSpy is a comm with a wire-entry watermark wait that records the
+// destination it was asked to flush.
+type flushSpy struct {
+	mpi.Comm
+	flushed int
+}
+
+func (s *flushSpy) Flush(dst int, _ time.Duration) error { s.flushed = dst; return nil }
+
+// TestInstrumentPresentsFlusherExactly checks that the instrumented comm
+// surfaces mpi.Flusher exactly when the wrapped transport has it, and that
+// a Flush reaches the transport.
+func TestInstrumentPresentsFlusherExactly(t *testing.T) {
+	plain := mem.NewWorld(2)[0]
+	if _, ok := Instrument(plain, NewRecorder(0)).(mpi.Flusher); ok {
+		t.Fatal("instrumented mem comm presents mpi.Flusher")
+	}
+	spy := &flushSpy{Comm: plain, flushed: -1}
+	fl, ok := Instrument(spy, NewRecorder(0)).(mpi.Flusher)
+	if !ok {
+		t.Fatal("instrumented flushing comm hides mpi.Flusher")
+	}
+	if err := fl.Flush(1, time.Second); err != nil || spy.flushed != 1 {
+		t.Fatalf("Flush(1) = %v, transport flushed %d", err, spy.flushed)
 	}
 }
 

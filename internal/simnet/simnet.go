@@ -38,6 +38,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/aapc-sched/aapcsched/internal/mpi"
 	"github.com/aapc-sched/aapcsched/internal/topology"
@@ -292,17 +293,28 @@ type matchKey struct{ src, dst, tag int }
 
 // simOp is a posted send or receive. Completion is driven by the engine.
 type simOp struct {
-	buf      []byte
+	buf []byte
+	// dt, when non-zero, describes buf's strided layout (mpi.Op.Type); the
+	// flow's completion moves the bytes straight between the two layouts.
+	dt       mpi.Datatype
 	done     bool
 	err      error
 	nwaiters int   // ranks currently blocked on this op
 	waiters  []int // ranks to wake when the op completes
-	// ctx is the trace context: set at post time on sends (IsendTraced),
+	// ctx is the trace context: set at post time on sends (mpi.Op.Ctx),
 	// copied from the matched send at flow completion on receives.
 	ctx uint64
 	// deliveredAt is the virtual time the flow finished, stamped on both
 	// sides of the matched pair (traced flows only).
 	deliveredAt float64
+}
+
+// size returns the operation's payload capacity in bytes.
+func (o *simOp) size() int {
+	if o.dt.IsZero() {
+		return len(o.buf)
+	}
+	return o.dt.Size()
 }
 
 // flow is a matched message in transit.
@@ -327,8 +339,6 @@ type flow struct {
 	agg      *aggregate
 	sendOp   *simOp
 	recvOp   *simOp
-	sendBuf  []byte
-	recvBuf  []byte
 	overflow bool // receiver buffer too small
 }
 
@@ -537,19 +547,17 @@ func (e *engine) startFlow(key matchKey, sendOp, recvOp *simOp) {
 		tag:      key.tag,
 		matchIdx: n,
 		matched:  e.clock,
-		size:     float64(len(sendOp.buf)),
-		remain:   float64(len(sendOp.buf)),
-		startAt:  e.clock + e.startup(key, len(sendOp.buf), n),
+		size:     float64(sendOp.size()),
+		remain:   float64(sendOp.size()),
+		startAt:  e.clock + e.startup(key, sendOp.size(), n),
 		sendOp:   sendOp,
 		recvOp:   recvOp,
-		sendBuf:  sendOp.buf,
-		recvBuf:  recvOp.buf,
 	}
 	e.flowSeq++
 	if key.src != key.dst {
 		f.path = e.pathOf[key.src][key.dst]
 	}
-	if len(recvOp.buf) < len(sendOp.buf) {
+	if recvOp.size() < sendOp.size() {
 		f.overflow = true
 	}
 	e.cal.push(f.startAt, f, nil)
@@ -751,9 +759,9 @@ func (e *engine) advance() bool {
 			var err error
 			if f.overflow {
 				err = fmt.Errorf("simnet: message truncated: receiver buffer %d < %d",
-					len(f.recvBuf), len(f.sendBuf))
+					f.recvOp.size(), f.sendOp.size())
 			} else {
-				copy(f.recvBuf, f.sendBuf)
+				mpi.CopyTyped(f.recvOp.buf, f.recvOp.dt, f.sendOp.buf, f.sendOp.dt)
 			}
 			if f.sendOp.ctx != 0 {
 				f.recvOp.ctx = f.sendOp.ctx
@@ -868,58 +876,50 @@ type request struct {
 	rank int
 }
 
-func (r *request) Wait() error { return r.e.block(r.op, r.rank) }
-
-// WaitTraced blocks like Wait and reports the matched sender's trace
-// context and the flow's virtual completion time (mpi.TracedRequest).
-// simOps are never recycled, so reading the fields after the block is safe.
-func (r *request) WaitTraced() (mpi.TraceInfo, error) {
+// Await blocks until the op completes and reports the matched sender's
+// trace context and the flow's virtual completion time. The deadline is
+// ignored: waits run in virtual time, where the engine's deadlock
+// detection is the backstop. simOps are never recycled, so reading the
+// fields after the block is safe.
+func (r *request) Await(time.Duration) (mpi.TraceInfo, error) {
 	err := r.e.block(r.op, r.rank)
 	return mpi.TraceInfo{Ctx: r.op.ctx, DeliveredAt: r.op.deliveredAt}, err
 }
 
-type errRequest struct{ err error }
-
-func (r errRequest) Wait() error { return r.err }
+func (r *request) Wait() error { return r.e.block(r.op, r.rank) }
 
 func (c *comm) Isend(buf []byte, dst, tag int) mpi.Request {
-	return c.isend(buf, dst, tag, 0)
-}
-
-// IsendTraced attaches a trace context to the message (mpi.TracedSender):
-// the matched receive learns it when the simulated flow completes.
-func (c *comm) IsendTraced(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	return c.isend(buf, dst, tag, ctx)
-}
-
-func (c *comm) isend(buf []byte, dst, tag int, ctx uint64) mpi.Request {
-	if err := mpi.CheckRank(c, dst); err != nil {
-		return errRequest{err}
-	}
-	op := &simOp{buf: buf, ctx: ctx}
-	e := c.e
-	e.mu.Lock()
-	if e.deadlocked {
-		e.mu.Unlock()
-		return errRequest{fmt.Errorf("simnet: world deadlocked")}
-	}
-	e.post(matchKey{src: c.rank, dst: dst, tag: tag}, op, true)
-	e.mu.Unlock()
-	return &request{e: e, op: op, rank: c.rank}
+	return c.Post(mpi.Op{Dir: mpi.DirSend, Buf: buf, Peer: dst, Tag: tag})
 }
 
 func (c *comm) Irecv(buf []byte, src, tag int) mpi.Request {
-	if err := mpi.CheckRank(c, src); err != nil {
-		return errRequest{err}
+	return c.Post(mpi.Op{Dir: mpi.DirRecv, Buf: buf, Peer: src, Tag: tag})
+}
+
+// Post implements mpi.Comm: the op enters the engine's matching queues;
+// a match becomes a simulated flow that moves the bytes at completion.
+func (c *comm) Post(o mpi.Op) mpi.Request {
+	o, err := o.Normalize()
+	if err != nil {
+		return mpi.Completed(err)
 	}
-	op := &simOp{buf: buf}
+	if err := mpi.CheckRank(c, o.Peer); err != nil {
+		return mpi.Completed(err)
+	}
+	op := &simOp{buf: o.Buf, dt: o.Type}
+	key := matchKey{src: o.Peer, dst: c.rank, tag: o.Tag}
+	sending := o.Dir == mpi.DirSend
+	if sending {
+		op.ctx = o.Ctx
+		key.src, key.dst = c.rank, o.Peer
+	}
 	e := c.e
 	e.mu.Lock()
 	if e.deadlocked {
 		e.mu.Unlock()
-		return errRequest{fmt.Errorf("simnet: world deadlocked")}
+		return mpi.Completed(fmt.Errorf("simnet: world deadlocked"))
 	}
-	e.post(matchKey{src: src, dst: c.rank, tag: tag}, op, false)
+	e.post(key, op, sending)
 	e.mu.Unlock()
 	return &request{e: e, op: op, rank: c.rank}
 }
