@@ -93,10 +93,12 @@ microbench:
 
 # bench-sched measures the schedule daemon's compile paths: from-scratch
 # parallel greedy compiles vs incremental reschedule after a one-node
-# delta, at N=128 and N=512; committed reference numbers live in
-# BENCH_sched.json.
+# delta, at N=128 and N=512, and sync planning (time and B/op) on the
+# 16-per-switch chain at N=96, 256 and 512; committed reference numbers
+# live in BENCH_sched.json.
 bench-sched:
 	$(GO) test -bench 'BenchmarkBuildGreedyParallel|BenchmarkReschedule' -run=^$$ -benchtime 1x ./internal/schedule/
+	$(GO) test -bench 'BenchmarkBuild$$' -benchmem -run=^$$ -benchtime 3x ./internal/syncplan/
 
 # bench-trace measures the causal-tracing pipeline: per-operation overhead
 # of the instrumented wrapper, collector JSONL ingest and merge throughput

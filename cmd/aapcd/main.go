@@ -124,7 +124,9 @@ func newServer(o *options) (*http.Server, net.Listener, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &http.Server{Handler: mux}, ln, nil
+	// Bound header reads so an idle or trickling client cannot pin a
+	// connection (and its goroutine) forever.
+	return &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}, ln, nil
 }
 
 // run serves the daemon until ctx is cancelled, then drains in-flight

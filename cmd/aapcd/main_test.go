@@ -59,6 +59,20 @@ func TestBootTopology(t *testing.T) {
 	}
 }
 
+// TestNewServerBoundsHeaderRead: the daemon faces the network, so a client
+// that opens a connection and never finishes its request headers must be
+// cut off rather than hold the connection open indefinitely.
+func TestNewServerBoundsHeaderRead(t *testing.T) {
+	srv, ln, err := newServer(testOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if srv.ReadHeaderTimeout != 5*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 5s", srv.ReadHeaderTimeout)
+	}
+}
+
 // TestDaemonEndToEnd boots the daemon the way main does and exercises the
 // full loop over real HTTP: compile, update stream, patched re-serve,
 // metrics.

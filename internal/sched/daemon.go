@@ -138,10 +138,13 @@ func (d *Daemon) Schedule(alg string, msize int, hash string) (*result, error) {
 
 // SyncPlan computes the pair-wise synchronization plan for a served
 // schedule on the topology version it was keyed to. Plans are derived on
-// demand; they are cheap relative to compiles and only requested by
-// pairwise-sync clients. Ring and auto schedules are capacity-respecting
-// rather than strictly contention-free — same-phase sharing of fast links
-// is legitimate there, so they use the capacity-aware planner.
+// demand, not cached: only pairwise-sync clients request them. A plan
+// costs about ten times the schedule compile (13 ms against 1 ms for 96
+// ranks on a chain of switches; 0.2 s for 256 ranks and about 1.5 s for
+// 512, on a 2-vCPU Xeon), in memory linear in the schedule's total path
+// length. Ring and auto schedules are capacity-respecting rather than
+// strictly contention-free — same-phase sharing of fast links is
+// legitimate there, so they use the capacity-aware planner.
 func (d *Daemon) SyncPlan(r *result) (*syncplan.Plan, error) {
 	if alg := r.entry.key.Alg; alg == AlgRing || alg == AlgAuto {
 		return syncplan.BuildCapacityAware(r.version.Graph, r.entry.s)

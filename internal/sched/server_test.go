@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -316,6 +317,55 @@ func TestMalformedRequests(t *testing.T) {
 	if got := d.Counters().Get(ctrReqErrors + `{code="400"}`); got <= errorsBefore {
 		t.Error("request-error counter did not move")
 	}
+}
+
+// TestSyncPlanAt256Ranks asks the daemon for the paper's schedule with its
+// sync plan on a 256-rank chain of switches (16 machines each). The plan
+// must be served, non-empty, and derived in bounded memory: the request's
+// allocations, compile and JSON encoding included, stay far below the
+// half-gigabyte an n²-bit reachability plan would take at this size.
+func TestSyncPlanAt256Ranks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-rank compile and plan")
+	}
+	g := topology.New()
+	sw := make([]int, 16)
+	for i := range sw {
+		sw[i] = g.MustAddSwitch(fmt.Sprintf("s%d", i))
+		if i > 0 {
+			g.MustConnect(sw[i-1], sw[i])
+		}
+	}
+	for i := 0; i < 256; i++ {
+		g.MustConnect(sw[i/16], g.MustAddMachine(fmt.Sprintf("n%d", i)))
+	}
+	_, srv, _ := newTestDaemon(t, Options{Graph: g.MustValidate()})
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := srv.Client().Get(srv.URL + "/v1/schedule?alg=ours&msize=65536&syncs=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	var sr ScheduleResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if sr.NumRanks != 256 || len(sr.Syncs) == 0 {
+		t.Fatalf("got %d ranks and %d syncs, want 256 ranks and a non-empty plan",
+			sr.NumRanks, len(sr.Syncs))
+	}
+	const budget = 256 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
+		t.Errorf("request allocated %d MiB, budget %d MiB", alloc>>20, budget>>20)
+	}
+	t.Logf("%d phases, %d syncs, %d MiB allocated", sr.NumPhases, len(sr.Syncs),
+		(after.TotalAlloc-before.TotalAlloc)>>20)
 }
 
 // TestUpdatesStreamLockstep drives the streaming endpoint through the

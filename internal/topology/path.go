@@ -174,11 +174,10 @@ func (g *Graph) PathIDs(idx *EdgeIndex, u, v int) []int {
 }
 
 // AppendPathEdgeIDs appends the dense directed-edge IDs of the unique path
-// from u to v onto dst and returns the extended slice. The order of IDs
-// within the path is unspecified — callers that treat the path as an edge
-// set (contention bitsets) use this instead of PathIDs to avoid the map
-// lookups and per-call allocations of the Edge-keyed walk. The index must
-// have been built by NewEdgeIndex on this graph.
+// from u to v onto dst, in path order like PathIDs, and returns the extended
+// slice. Hot loops use it instead of PathIDs to avoid the map lookups and
+// per-call allocations of the Edge-keyed walk. The index must have been
+// built by NewEdgeIndex on this graph.
 func (g *Graph) AppendPathEdgeIDs(idx *EdgeIndex, u, v int, dst []int32) []int32 {
 	if u == v {
 		return dst
@@ -186,18 +185,25 @@ func (g *Graph) AppendPathEdgeIDs(idx *EdgeIndex, u, v int, dst []int32) []int32
 	rt := g.canonical()
 	a, b := u, v
 	for rt.depth[a] > rt.depth[b] {
-		dst = append(dst, idx.up[a])
 		a = rt.parent[a]
 	}
 	for rt.depth[b] > rt.depth[a] {
-		dst = append(dst, idx.down[b])
 		b = rt.parent[b]
 	}
 	for a != b {
+		a, b = rt.parent[a], rt.parent[b]
+	}
+	lca := a
+	for a = u; a != lca; a = rt.parent[a] {
 		dst = append(dst, idx.up[a])
-		a = rt.parent[a]
+	}
+	// v's side is walked from v upward, so reverse it in place.
+	mid := len(dst)
+	for b = v; b != lca; b = rt.parent[b] {
 		dst = append(dst, idx.down[b])
-		b = rt.parent[b]
+	}
+	for i, j := mid, len(dst)-1; i < j; i, j = i+1, j-1 {
+		dst[i], dst[j] = dst[j], dst[i]
 	}
 	return dst
 }

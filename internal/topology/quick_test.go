@@ -62,6 +62,31 @@ func TestQuickPathProperties(t *testing.T) {
 	}
 }
 
+// TestQuickAppendPathEdgeIDsInOrder: the allocation-free walk yields the
+// same edge IDs as PathIDs, in the same order, after any existing prefix.
+func TestQuickAppendPathEdgeIDsInOrder(t *testing.T) {
+	prop := func(seed int64, a, b uint) bool {
+		g := clusterFromSeed(seed)
+		idx := g.NewEdgeIndex()
+		m := uint(g.NumMachines())
+		u, v := g.MachineID(int(a%m)), g.MachineID(int(b%m))
+		got := g.AppendPathEdgeIDs(idx, u, v, []int32{-7})
+		want := g.PathIDs(idx, u, v)
+		if len(got) != len(want)+1 || got[0] != -7 {
+			return false
+		}
+		for i, id := range want {
+			if got[i+1] != int32(id) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, quickCfg); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestQuickLinkLoadConservation: summing |Mu|*|Mv| over links equals summing
 // path lengths over all ordered machine pairs (every message crosses each of
 // its links once), and every link load is positive.
