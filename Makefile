@@ -108,10 +108,11 @@ bench-trace:
 	$(GO) test -bench=BenchmarkInstrumentedOpCost -benchmem -run=^$$ ./internal/obsv/
 	$(GO) test -bench 'BenchmarkIngestJSONL|BenchmarkMerge|BenchmarkAnalyze|BenchmarkEstimateOffsets' -benchmem -run=^$$ ./internal/obsv/collect/
 
-# Short fuzz passes over every DSL parser and the daemon's request
-# grammar (longer runs: go test -fuzz=... ).
+# Short fuzz passes over every DSL parser, the daemon's request grammar and
+# the trace collector's ingest endpoint (longer runs: go test -fuzz=... ).
 fuzz:
 	$(GO) test -fuzz=FuzzParseTopology -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzParsePlan -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzTopologyDelta -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzScheduleRequest -fuzztime=30s ./internal/sched/
+	$(GO) test -fuzz=FuzzIngestJSONL -fuzztime=30s ./internal/obsv/collect/

@@ -14,6 +14,7 @@ package collect
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,6 +27,15 @@ import (
 	"github.com/aapc-sched/aapcsched/internal/topology"
 )
 
+// MaxIngestBytes bounds one POST /v1/trace/ingest body; a larger body is
+// refused with 413 once that many bytes have been read. For scale, a -local
+// aapcnode run of ours on the 32-rank preset b pushes 0.9 MB (6.9k spans).
+const MaxIngestBytes = 64 << 20
+
+// MaxTraceRanks bounds the world size of an ingested trace: reports index
+// ranks densely, and clock-offset estimation allocates ranks² entries.
+const MaxTraceRanks = 1024
+
 // Store accumulates per-rank event logs until a report is asked for. It is
 // safe for concurrent ingestion.
 type Store struct {
@@ -34,16 +44,19 @@ type Store struct {
 	meta   obsv.Meta
 	common bool
 	cnts   obsv.Counters
+	// maxIngest is the ingest endpoint's body bound (MaxIngestBytes; tests
+	// lower it).
+	maxIngest int64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{byRank: make(map[int][]obsv.Event)}
+	return &Store{byRank: make(map[int][]obsv.Event), maxIngest: MaxIngestBytes}
 }
 
 // Counters exposes the store's ingestion counters so a Registry can merge
 // them onto /metrics (aapc_trace_ingests_total, aapc_trace_spans_total,
-// aapc_trace_reports_total).
+// aapc_trace_ingest_rejected_total, aapc_trace_reports_total).
 func (s *Store) Counters() *obsv.Counters { return &s.cnts }
 
 // SetCommonClock records the producer's assertion that every rank's clock
@@ -80,6 +93,14 @@ func (s *Store) AddJSONL(r io.Reader) error {
 	meta, evs, err := obsv.ReadJSONL(r)
 	if err != nil {
 		return err
+	}
+	if meta.Ranks > MaxTraceRanks {
+		return fmt.Errorf("collect: trace of %d ranks exceeds %d", meta.Ranks, MaxTraceRanks)
+	}
+	for _, ev := range evs {
+		if ev.Rank >= MaxTraceRanks {
+			return fmt.Errorf("collect: span rank %d exceeds %d", ev.Rank, MaxTraceRanks-1)
+		}
 	}
 	s.mu.Lock()
 	if s.meta.Ranks == 0 && meta.Ranks > 0 {
@@ -350,6 +371,7 @@ func (r *Report) Text() string {
 // Handler serves the collector over HTTP:
 //
 //	POST /v1/trace/ingest  — body is an obsv JSONL trace; merged into the store
+//	                         (413 above MaxIngestBytes)
 //	GET  /v1/trace/report  — JSON report (?format=text for the rendering)
 //	GET  /v1/trace/events  — merged events as one JSONL trace
 //	POST /v1/trace/reset   — drop ingested events
@@ -369,7 +391,13 @@ func HandlerLive(s *Store, graph func() *topology.Graph) http.Handler {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
 		}
-		if err := s.AddJSONL(req.Body); err != nil {
+		if err := s.AddJSONL(http.MaxBytesReader(w, req.Body, s.maxIngest)); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				s.cnts.Inc("aapc_trace_ingest_rejected_total")
+				http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

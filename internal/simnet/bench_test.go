@@ -43,19 +43,34 @@ func benchConfig(g *topology.Graph, jitter float64) Config {
 	}
 }
 
-// postAllAAPC is the LAM-style exchange: every rank posts all N-1 sends and
-// receives up front, creating O(N^2) concurrent flows.
-func postAllAAPC(msize int) func(c mpi.Comm) error {
+// postAllAAPC is the LAM-style exchange on n ranks: every rank posts all
+// its receives and sends up front, copies messages per peer under distinct
+// tags, creating O(copies·N^2) concurrent flows; copies > 1 gives the rate
+// solver aggregates of weight above 1. Each rank's send and receive buffer
+// is allocated here, before the run, and shared by all its messages (only
+// sizes matter), so the benchmark measures the engine, not the host
+// allocator.
+func postAllAAPC(n, msize, copies int) func(c mpi.Comm) error {
+	sbuf := make([][]byte, n)
+	rbuf := make([][]byte, n)
+	for i := range sbuf {
+		sbuf[i] = make([]byte, msize)
+		rbuf[i] = make([]byte, msize)
+	}
 	return func(c mpi.Comm) error {
-		n := c.Size()
-		reqs := make([]mpi.Request, 0, 2*(n-1))
+		me := c.Rank()
+		reqs := make([]mpi.Request, 0, 2*copies*(n-1))
 		for off := 1; off < n; off++ {
-			p := (c.Rank() + off) % n
-			reqs = append(reqs, c.Irecv(make([]byte, msize), p, 0))
+			p := (me + off) % n
+			for tag := 0; tag < copies; tag++ {
+				reqs = append(reqs, c.Irecv(rbuf[me], p, tag))
+			}
 		}
 		for off := 1; off < n; off++ {
-			p := (c.Rank() + off) % n
-			reqs = append(reqs, c.Isend(make([]byte, msize), p, 0))
+			p := (me + off) % n
+			for tag := 0; tag < copies; tag++ {
+				reqs = append(reqs, c.Isend(sbuf[me], p, tag))
+			}
 		}
 		return mpi.WaitAll(reqs)
 	}
@@ -93,14 +108,17 @@ func windowedAAPC(msize, window int) func(c mpi.Comm) error {
 	}
 }
 
-// BenchmarkSimAAPC measures raw engine throughput on AAPC runs. N=32 and
-// N=128 use the post-all (LAM) pattern with O(N^2) concurrent flows and
-// jittered activations — the per-event-recompute worst case for the solver.
-// N=512 uses a windowed exchange (window 32) without jitter, the
-// synchronized-wave regime large harness cells actually run (jittering half
-// a million 512-rank flows individually is intractable for any
-// full-recompute max-min solver). The custom metrics report discrete events
-// per wall-clock second and flows per run; allocs/op tracks solver garbage.
+// BenchmarkSimAAPC measures raw engine throughput on AAPC runs. N=32, N=96
+// and N=128 use the post-all (LAM) pattern with O(N^2) concurrent flows and
+// jittered activations — the per-event-recompute worst case for the solver;
+// N=96 is the LAM cell of the sim_chain96 end-to-end workload (96 ranks, 16
+// per switch on a 6-switch chain, 64 KiB, jitter 0.25). N=512 uses a
+// windowed exchange (window 32) without jitter, the synchronized-wave
+// regime large harness cells actually run (jittering half a million
+// 512-rank flows individually is intractable for any full-recompute max-min
+// solver). The custom metrics report discrete events per wall-clock second,
+// flows per run and the share of solver rounds replayed from the previous
+// solve; allocs/op tracks solver garbage.
 func BenchmarkSimAAPC(b *testing.B) {
 	cases := []struct {
 		n      int
@@ -109,6 +127,7 @@ func BenchmarkSimAAPC(b *testing.B) {
 		msize  int
 	}{
 		{n: 32, jitter: 0.25, msize: 64 << 10},
+		{n: 96, jitter: 0.25, msize: 64 << 10},
 		{n: 128, jitter: 0.25, msize: 64 << 10},
 		// 512 ranks move 261k messages; the paper's 8 KB base size keeps the
 		// benchmark's real byte movement (copied on every delivery) sane.
@@ -117,13 +136,15 @@ func BenchmarkSimAAPC(b *testing.B) {
 	for _, tc := range cases {
 		g := benchCluster(tc.n)
 		cfg := benchConfig(g, tc.jitter)
-		fn := postAllAAPC(tc.msize)
+		var fn func(c mpi.Comm) error
 		if tc.window > 0 {
 			fn = windowedAAPC(tc.msize, tc.window)
+		} else {
+			fn = postAllAAPC(tc.n, tc.msize, 1)
 		}
 		b.Run(fmt.Sprintf("N=%d", tc.n), func(b *testing.B) {
 			b.ReportAllocs()
-			var events, flows int64
+			var events, flows, replayed, rounds int64
 			for i := 0; i < b.N; i++ {
 				w, err := NewWorld(cfg)
 				if err != nil {
@@ -134,9 +155,13 @@ func BenchmarkSimAAPC(b *testing.B) {
 				}
 				events += w.Events()
 				flows += int64(w.FlowCount())
+				r, t := w.SolverRounds()
+				replayed += r
+				rounds += t
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 			b.ReportMetric(float64(flows)/float64(b.N), "flows/run")
+			b.ReportMetric(float64(replayed)/float64(rounds), "replayed/round")
 		})
 	}
 }

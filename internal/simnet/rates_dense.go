@@ -16,8 +16,9 @@ type denseScratch struct {
 // the reference oracle for the aggregated engine: progressive filling over
 // individual flows, scanning every unfrozen flow's path each round. Its only
 // changes from the seed implementation are the reusable scratch buffers, the
-// memoized efficiency table, and maintenance of the aggregate per-link rates
-// the event loop integrates for byte accounting. Caller holds e.mu.
+// memoized efficiency table, maintenance of the aggregate per-link rates
+// the event loop integrates for byte accounting, and rates written to the
+// engine's actRate slice instead of the flows. Caller holds e.mu.
 func (e *engine) assignRatesDense() {
 	nEdges := len(e.edgeCap)
 	ds := &e.ds
@@ -34,12 +35,13 @@ func (e *engine) assignRatesDense() {
 		e.linkRate[i] = 0
 	}
 	active := ds.active[:0]
-	for _, f := range e.act {
-		f.rate = 0
+	rate := e.actRate
+	for i, f := range e.act {
+		rate[i] = 0
 		if len(f.path) == 0 {
 			// Self-message: crosses no link, completes (near-)instantly
 			// once active.
-			f.rate = selfRate(f.remain)
+			rate[i] = selfRate(e.actRemain[i])
 			continue
 		}
 		active = append(active, f)
@@ -95,7 +97,7 @@ func (e *engine) assignRatesDense() {
 				continue
 			}
 			frozen[i] = true
-			f.rate = share
+			rate[f.actIdx] = share
 			unassigned--
 			progressed = true
 			for _, eid := range f.path {
@@ -108,7 +110,7 @@ func (e *engine) assignRatesDense() {
 			for i, f := range active {
 				if !frozen[i] {
 					frozen[i] = true
-					f.rate = share
+					rate[f.actIdx] = share
 					unassigned--
 				}
 			}
@@ -116,7 +118,7 @@ func (e *engine) assignRatesDense() {
 	}
 	for _, f := range active {
 		for _, eid := range f.path {
-			e.linkRate[eid] += f.rate
+			e.linkRate[eid] += rate[f.actIdx]
 		}
 	}
 }

@@ -26,32 +26,27 @@ func ratesTestEngine(t testing.TB, g *topology.Graph, rateEngine string) *engine
 // the message-matching machinery, exactly as advance does on an activation
 // event.
 func injectFlow(e *engine, src, dst int, size float64) {
-	f := &flow{
-		id:     e.flowSeq,
-		src:    src,
-		dst:    dst,
-		path:   e.pathOf[src][dst],
-		size:   size,
-		remain: size,
-		active: true,
-	}
+	f := &flow{id: e.flowSeq, src: src, dst: dst, path: e.path(src, dst), size: size}
 	e.flowSeq++
-	f.actIdx = len(e.act)
-	e.act = append(e.act, f)
-	if !e.dense {
-		e.attachFlow(f)
-	}
+	e.activate(f)
 }
 
 // popFlow deactivates the most recently injected flow, as a completion does.
 func popFlow(e *engine) {
-	last := len(e.act) - 1
-	f := e.act[last]
-	e.act[last] = nil
-	e.act = e.act[:last]
-	if !e.dense {
-		e.detachFlow(f)
+	completeFlow(e, len(e.act)-1)
+}
+
+// completeFlow deactivates the i-th active flow, as a completion does.
+func completeFlow(e *engine, i int) {
+	e.removeActive(e.act[i])
+}
+
+// rateOf returns a flow's rate after a solve, as advance reads it.
+func rateOf(e *engine, f *flow) float64 {
+	if st := e.actStep[f.actIdx]; !e.dense && st != noStep {
+		return e.fs.steps[st].share
 	}
+	return e.actRate[f.actIdx]
 }
 
 // within1e9 is the equivalence bound: 1e-9 relative error (absolute below
@@ -108,9 +103,9 @@ func TestRateEnginesAgreeQuick(t *testing.T) {
 			}
 			for i, ff := range fast.act {
 				df := dense.act[i]
-				if !within1e9(ff.rate, df.rate) {
+				if fr, dr := rateOf(fast, ff), rateOf(dense, df); !within1e9(fr, dr) {
 					t.Logf("seed %d round %d: flow %d (%d->%d) fast rate %g, dense rate %g",
-						seed, round, i, ff.src, ff.dst, ff.rate, df.rate)
+						seed, round, i, ff.src, ff.dst, fr, dr)
 					return false
 				}
 			}
@@ -140,45 +135,170 @@ func TestRateEnginesAgreeQuick(t *testing.T) {
 // both solvers and requires byte-identical results: same Elapsed, same
 // FlowTrace (ids, times, rates). This is the regression gate that keeps the
 // fast engine a drop-in replacement rather than an approximation.
+//
+// The weighted case spans three switches and sends every message twice, so
+// its aggregates have weight 2, and it exercises both replayed rounds and
+// rounds frozen after a replay stopped. Its byte-identical gate is the fast
+// engine against itself solving every event from scratch: at 1e-9 share
+// near-ties the reference solver can freeze two flows of one pair in
+// different rounds, so on weighted flow sets it agrees with the fast engine
+// only within 1e-9 (TestReplayMatchesScratchQuick).
 func TestRateEngineEndToEndIdentical(t *testing.T) {
-	g := benchCluster(24)
-	for _, jitter := range []float64{0, 0.3} {
-		t.Run(fmt.Sprintf("jitter=%v", jitter), func(t *testing.T) {
-			cfg := benchConfig(g, jitter)
-			run := func(engine string) (float64, []FlowRecord) {
+	cases := []struct {
+		name   string
+		n      int
+		copies int
+		jitter float64
+	}{
+		{name: "jitter=0", n: 24, copies: 1, jitter: 0},
+		{name: "jitter=0.3", n: 24, copies: 1, jitter: 0.3},
+		{name: "48ranks/weighted/jitter=0.3", n: 48, copies: 2, jitter: 0.3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := benchConfig(benchCluster(tc.n), tc.jitter)
+			run := func(engine string, fromScratch bool) (*World, []FlowRecord) {
 				c := cfg
 				c.RateEngine = engine
 				w, err := NewWorld(c)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := w.Run(postAllAAPC(4 << 10)); err != nil {
+				w.eng.fs.fromScratch = fromScratch
+				if err := w.Run(postAllAAPC(tc.n, 4<<10, tc.copies)); err != nil {
 					t.Fatal(err)
 				}
-				return w.Elapsed(), w.FlowTrace()
+				return w, w.FlowTrace()
 			}
-			fastEl, fastTr := run(RateEngineFast)
-			refEl, refTr := run(RateEngineReference)
-			if fastEl != refEl {
-				t.Errorf("Elapsed: fast %v, reference %v", fastEl, refEl)
+			fast, fastTr := run(RateEngineFast, false)
+			var want *World
+			var wantTr []FlowRecord
+			if tc.copies > 1 {
+				replayed, total := fast.SolverRounds()
+				if replayed == 0 || replayed == total {
+					t.Errorf("fast solver replayed %d of %d rounds, want some but not all", replayed, total)
+				}
+				want, wantTr = run(RateEngineFast, true)
+			} else {
+				want, wantTr = run(RateEngineReference, false)
 			}
-			if len(fastTr) != len(refTr) {
-				t.Fatalf("trace length: fast %d, reference %d", len(fastTr), len(refTr))
+			if fast.Elapsed() != want.Elapsed() {
+				t.Errorf("Elapsed: fast %v, want %v", fast.Elapsed(), want.Elapsed())
+			}
+			if len(fastTr) != len(wantTr) {
+				t.Fatalf("trace length: fast %d, want %d", len(fastTr), len(wantTr))
 			}
 			for i := range fastTr {
-				if fastTr[i] != refTr[i] {
-					t.Fatalf("flow record %d differs:\nfast:      %+v\nreference: %+v",
-						i, fastTr[i], refTr[i])
+				if fastTr[i] != wantTr[i] {
+					t.Fatalf("flow record %d differs:\nfast: %+v\nwant: %+v",
+						i, fastTr[i], wantTr[i])
 				}
 			}
 		})
 	}
 }
 
+// speedCluster builds a random tree whose links run at mixed speeds, so
+// fair shares differ between machine links and trunks.
+func speedCluster(rng *rand.Rand) *topology.Graph {
+	speeds := []float64{0.5, 1, 2, 10}
+	g := topology.New()
+	sw := make([]int, 1+rng.Intn(6))
+	for i := range sw {
+		sw[i] = g.MustAddSwitch(fmt.Sprintf("s%d", i))
+		if i > 0 {
+			g.MustConnectSpeed(sw[rng.Intn(i)], sw[i], speeds[rng.Intn(len(speeds))])
+		}
+	}
+	for i, n := 0, 2+rng.Intn(24); i < n; i++ {
+		m := g.MustAddMachine(fmt.Sprintf("n%02d", i))
+		g.MustConnectSpeed(sw[rng.Intn(len(sw))], m, speeds[rng.Intn(len(speeds))])
+	}
+	return g.MustValidate()
+}
+
+// TestReplayMatchesScratchQuick is the replay property: over random churn
+// — each event activates and completes several flows at once, repeated
+// pairs giving aggregates of weight above 1, on trees with mixed link
+// speeds — a fast engine that replays its previous solve must give
+// bit-identical flow and link rates to one that solves every event from
+// scratch, and both must match the dense oracle within 1e-9.
+func TestReplayMatchesScratchQuick(t *testing.T) {
+	var replayed, rounds int64
+	property := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := speedCluster(rng)
+		n := g.NumMachines()
+		inc := ratesTestEngine(t, g, RateEngineFast)
+		scratch := ratesTestEngine(t, g, RateEngineFast)
+		scratch.fs.fromScratch = true
+		dense := ratesTestEngine(t, g, RateEngineReference)
+		engines := []*engine{inc, scratch, dense}
+		for ev := 0; ev < 40; ev++ {
+			arrive := 1 + rng.Intn(4)
+			if ev == 0 {
+				arrive = 3 * n
+			}
+			for i := 0; i < arrive; i++ {
+				src, dst := rng.Intn(n), rng.Intn(n)
+				if len(inc.act) > 0 && rng.Intn(3) == 0 {
+					// Another message between an active pair.
+					f := inc.act[rng.Intn(len(inc.act))]
+					src, dst = f.src, f.dst
+				}
+				size := float64(1 + rng.Intn(1<<20))
+				for _, e := range engines {
+					injectFlow(e, src, dst, size)
+				}
+			}
+			for i, leave := 0, rng.Intn(5); i < leave && len(inc.act) > 0; i++ {
+				k := rng.Intn(len(inc.act))
+				for _, e := range engines {
+					completeFlow(e, k)
+				}
+			}
+			for _, e := range engines {
+				e.assignRates()
+			}
+			for i, f := range inc.act {
+				r, sr, dr := rateOf(inc, f), rateOf(scratch, scratch.act[i]), rateOf(dense, dense.act[i])
+				if r != sr || !within1e9(r, dr) {
+					t.Logf("seed %d event %d: flow %d (%d->%d) replayed rate %v, scratch %v, dense %v",
+						seed, ev, i, f.src, f.dst, r, sr, dr)
+					return false
+				}
+			}
+			for eid, r := range inc.linkRate {
+				if r != scratch.linkRate[eid] || !within1e9(r, dense.linkRate[eid]) {
+					t.Logf("seed %d event %d: edge %d replayed link rate %v, scratch %v, dense %v",
+						seed, ev, eid, r, scratch.linkRate[eid], dense.linkRate[eid])
+					return false
+				}
+			}
+		}
+		if scratch.fs.replayedRounds != 0 {
+			t.Logf("seed %d: the from-scratch engine replayed %d rounds", seed, scratch.fs.replayedRounds)
+			return false
+		}
+		replayed += inc.fs.replayedRounds
+		rounds += inc.fs.totalRounds
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+	if replayed == 0 || replayed == rounds {
+		t.Fatalf("replayed %d of %d rounds: the property needs both replayed and re-frozen rounds", replayed, rounds)
+	}
+	t.Logf("replayed %d of %d rounds", replayed, rounds)
+}
+
 // TestAssignRatesNoSteadyStateAllocs pins the zero-allocation claim for both
 // solvers: once scratch buffers are warm and the aggregate pool is
 // populated, re-solving (including flow churn through attach/detach on the
-// fast path) must not allocate.
+// fast path) must not allocate. On the fast path the churn covers a new
+// aggregate, a second member joining an existing one, replayed rounds and
+// rounds frozen after the replay stopped.
 func TestAssignRatesNoSteadyStateAllocs(t *testing.T) {
 	g := benchCluster(32)
 	for _, engine := range []string{RateEngineFast, RateEngineReference} {
@@ -191,29 +311,32 @@ func TestAssignRatesNoSteadyStateAllocs(t *testing.T) {
 			e.assignRates() // warm scratch
 			popFlow(e)      // and the aggregate pool
 			e.assignRates()
-			// One churn cycle with a reusable flow object: activate, solve,
-			// complete, solve. The simulator reuses nothing else per event.
-			f := &flow{
-				id: e.flowSeq, src: 3, dst: 17, path: e.pathOf[3][17],
-				size: 1 << 16, remain: 1 << 16, active: true,
+			// Reusable flow objects: a new pair, and another message of an
+			// active pair. The simulator reuses nothing else per event.
+			pair := e.act[0]
+			fs := []*flow{
+				{id: e.flowSeq, src: 20, dst: 21, path: e.path(20, 21)},
+				{id: e.flowSeq + 1, src: pair.src, dst: pair.dst, path: pair.path},
 			}
+			// One churn cycle: activate, solve, complete, solve, per flow.
 			churn := func() {
-				f.actIdx = len(e.act)
-				e.act = append(e.act, f)
-				if !e.dense {
-					e.attachFlow(f)
+				for _, f := range fs {
+					f.size = 1 << 16
+					e.activate(f)
+					e.assignRates()
+					completeFlow(e, f.actIdx)
+					e.assignRates()
 				}
-				e.assignRates()
-				e.act = e.act[:len(e.act)-1]
-				if !e.dense {
-					e.detachFlow(f)
-				}
-				e.assignRates()
 			}
-			churn() // populate the (3,17) aggregate pool slot
+			churn() // populate the (20,21) aggregate pool slot
+			replayed, total := e.fs.replayedRounds, e.fs.totalRounds
 			allocs := testing.AllocsPerRun(20, churn)
 			if allocs > 0 {
 				t.Errorf("%s engine: %v allocs per steady-state churn cycle, want 0", engine, allocs)
+			}
+			replayed, total = e.fs.replayedRounds-replayed, e.fs.totalRounds-total
+			if !e.dense && (replayed == 0 || replayed == total) {
+				t.Errorf("churn replayed %d of %d rounds, want some but not all", replayed, total)
 			}
 		})
 	}

@@ -28,9 +28,11 @@
 // rates instead of per-flow increments, and blocked ranks park on per-rank
 // wait channels so an event wakes only the ranks it completes (no broadcast
 // storms). Max-min rates come from one of two interchangeable solvers
-// selected by Config.RateEngine: the default aggregated incidence-list
-// solver (zero allocations at steady state) or the original dense solver,
-// kept as a reference oracle.
+// selected by Config.RateEngine: the default aggregated solver, which
+// replays the previous solve's bottleneck rounds at edge level and freezes
+// flows one aggregate at a time only from the first round an event changed
+// (zero allocations at steady state), or the original dense solver, kept as
+// a reference oracle.
 package simnet
 
 import (
@@ -48,8 +50,9 @@ import (
 const (
 	// RateEngineFast is the aggregated incidence-list max-min solver (the
 	// default): flows sharing a path collapse into one aggregate for the
-	// progressive-filling loop and all solver state lives in reusable
-	// scratch buffers.
+	// progressive-filling loop, each solve replays the previous one's
+	// bottleneck rounds until an event's changes make a round differ, and
+	// all solver state lives in reusable buffers.
 	RateEngineFast = "fast"
 	// RateEngineReference is the original dense progressive-filling solver,
 	// kept as the oracle the fast engine is property-tested against.
@@ -285,6 +288,16 @@ func (w *World) Events() int64 {
 	return w.eng.events
 }
 
+// SolverRounds returns how many progressive-filling rounds the fast rate
+// solver has run and how many of those it replayed from the previous
+// solve's bottleneck sequence instead of re-freezing aggregates one by one
+// (see rates_fast.go). Both are zero under the reference solver.
+func (w *World) SolverRounds() (replayed, total int64) {
+	w.eng.mu.Lock()
+	defer w.eng.mu.Unlock()
+	return w.eng.fs.replayedRounds, w.eng.fs.totalRounds
+}
+
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
@@ -317,7 +330,8 @@ func (o *simOp) size() int {
 	return o.dt.Size()
 }
 
-// flow is a matched message in transit.
+// flow is a matched message in transit. While it is active, its remaining
+// bytes, rate and completion tolerance live in the engine's act* slices.
 type flow struct {
 	id       int
 	src, dst int
@@ -328,18 +342,18 @@ type flow struct {
 	// deterministic: the send queue for a key is filled only by rank src in
 	// program order, so the k-th match of a key is always the same message.
 	matchIdx uint64
-	path     []int // directed edge IDs; empty for self-messages
+	path     []int32 // directed edge IDs; empty for self-messages
 	matched  float64
 	size     float64
-	remain   float64
-	rate     float64
 	startAt  float64 // virtual time at which bytes start moving
-	active   bool
-	actIdx   int // position in engine.act while active
-	agg      *aggregate
-	sendOp   *simOp
-	recvOp   *simOp
-	overflow bool // receiver buffer too small
+	actIdx   int     // position in engine.act while active
+	// agg is the flow's path aggregate under the fast solver, and
+	// aggPrev/aggNext link the aggregate's member flows.
+	agg              *aggregate
+	aggPrev, aggNext *flow
+	sendOp           *simOp
+	recvOp           *simOp
+	overflow         bool // receiver buffer too small
 }
 
 type engine struct {
@@ -350,8 +364,12 @@ type engine struct {
 	// edgeCap[i] is the capacity of directed edge i in bytes/second
 	// (LinkBandwidth times the link's speed multiplier).
 	edgeCap []float64
-	// pathOf caches directed-edge paths between machine ranks.
-	pathOf [][][]int
+	// pathOf holds the directed-edge path of every ordered rank pair in one
+	// contiguous table, filled by topology.AppendPathEdgeIDs; pair
+	// (src, dst)'s path is pathOf[pathOff[src*n+dst]:pathOff[src*n+dst+1]]
+	// (see path).
+	pathOf  []int32
+	pathOff []int32
 
 	mu sync.Mutex
 
@@ -363,11 +381,21 @@ type engine struct {
 	recvs map[matchKey][]*simOp
 
 	// act holds the flows currently moving bytes (activation order); flows
-	// whose startup latency has not elapsed live only in the calendar.
-	act     []*flow
-	cal     calendar
-	flowSeq int
-	trace   []FlowRecord
+	// whose startup latency has not elapsed live only in the calendar. The
+	// slices after it run parallel to it and hold what every event reads for
+	// every active flow, so the per-event loops stream through dense
+	// arrays: bytes left, current rate, the completion tolerance
+	// timeEps*max(1, size) fixed at activation, and (fast solver) the freeze
+	// step of the flow's aggregate, whose share is the flow's rate (noStep
+	// for a self-message, whose rate is fixed at activation).
+	act       []*flow
+	actRemain []float64
+	actRate   []float64
+	actTol    []float64
+	actStep   []int32
+	cal       calendar
+	flowSeq   int
+	trace     []FlowRecord
 	// seq counts matches per (src, dst, tag); it feeds jitter hashing and
 	// the deterministic completion ordering (flow.matchIdx).
 	seq        map[matchKey]uint64
@@ -398,15 +426,15 @@ type engine struct {
 
 	// Fast-engine aggregate state (see rates_fast.go). linkCount[i] is the
 	// number of active flows crossing directed edge i, maintained
-	// incrementally by attachFlow/detachFlow; rateGen numbers
-	// assignRatesFast calls for the aggregate freeze marks.
+	// incrementally by attachFlow/detachFlow; fs is the solver's state,
+	// including the freeze steps of the previous solve that the next one
+	// replays.
 	aggByKey  map[int]*aggregate
 	aggs      []*aggregate
 	edgeAggs  [][]aggEntry
 	aggPool   []*aggregate
 	linkCount []int
-	rateGen   uint64
-	fs        fastScratch
+	fs        fastSolver
 
 	// Reference-engine scratch (see rates_dense.go).
 	ds denseScratch
@@ -437,21 +465,30 @@ func newEngine(cfg Config) *engine {
 		e.parkCh[i] = make(chan struct{}, 1)
 	}
 	e.isBlocked = make([]bool, n)
-	e.pathOf = make([][][]int, n)
+	e.pathOff = make([]int32, n*n+1)
 	for src := 0; src < n; src++ {
-		e.pathOf[src] = make([][]int, n)
 		for dst := 0; dst < n; dst++ {
 			if src != dst {
-				e.pathOf[src][dst] = g.PathIDs(e.idx, g.MachineID(src), g.MachineID(dst))
+				e.pathOf = g.AppendPathEdgeIDs(e.idx, g.MachineID(src), g.MachineID(dst), e.pathOf)
 			}
+			e.pathOff[src*n+dst+1] = int32(len(e.pathOf))
 		}
 	}
 	if !e.dense {
 		e.aggByKey = make(map[int]*aggregate)
 		e.edgeAggs = make([][]aggEntry, nEdges)
 		e.linkCount = make([]int, nEdges)
+		e.fs.init(nEdges)
 	}
 	return e
+}
+
+// path returns the directed-edge path from rank src to rank dst (empty for
+// src == dst), capped so an append cannot spill into the next pair's path.
+func (e *engine) path(src, dst int) []int32 {
+	k := src*e.n + dst
+	lo, hi := e.pathOff[k], e.pathOff[k+1]
+	return e.pathOf[lo:hi:hi]
 }
 
 // finish marks one rank's program as complete.
@@ -548,14 +585,13 @@ func (e *engine) startFlow(key matchKey, sendOp, recvOp *simOp) {
 		matchIdx: n,
 		matched:  e.clock,
 		size:     float64(sendOp.size()),
-		remain:   float64(sendOp.size()),
 		startAt:  e.clock + e.startup(key, sendOp.size(), n),
 		sendOp:   sendOp,
 		recvOp:   recvOp,
 	}
 	e.flowSeq++
 	if key.src != key.dst {
-		f.path = e.pathOf[key.src][key.dst]
+		f.path = e.path(key.src, key.dst)
 	}
 	if recvOp.size() < sendOp.size() {
 		f.overflow = true
@@ -686,14 +722,24 @@ func (e *engine) advance() bool {
 	if e.ratesDirty {
 		e.assignRates()
 		e.ratesDirty = false
+		if !e.dense {
+			// Each linked flow's rate is the share of its aggregate's
+			// freeze step; the solver itself never visits flows.
+			steps := e.fs.steps
+			for i, st := range e.actStep {
+				if st != noStep {
+					e.actRate[i] = steps[st].share
+				}
+			}
+		}
 	}
 	next := math.Inf(1)
-	for _, f := range e.act {
-		if f.rate > 0 {
-			if t := e.clock + f.remain/f.rate; t < next {
+	for i, r := range e.actRate {
+		if r > 0 {
+			if t := e.clock + e.actRemain[i]/r; t < next {
 				next = t
 			}
-		} else if f.remain <= 0 && e.clock < next {
+		} else if e.actRemain[i] <= 0 && e.clock < next {
 			next = e.clock
 		}
 	}
@@ -725,16 +771,18 @@ func (e *engine) advance() bool {
 
 	// Move bytes and detect completed flows.
 	e.completed = e.completed[:0]
-	for _, f := range e.act {
-		if dt > 0 && f.rate > 0 {
-			moved := f.rate * dt
-			if moved > f.remain {
-				moved = f.remain
+	for i, r := range e.actRate {
+		rem := e.actRemain[i]
+		if dt > 0 && r > 0 {
+			moved := r * dt
+			if moved > rem {
+				moved = rem
 			}
-			f.remain -= moved
+			rem -= moved
+			e.actRemain[i] = rem
 		}
-		if f.remain <= timeEps*math.Max(1, f.size) || f.remain <= f.rate*timeEps {
-			e.completed = append(e.completed, f)
+		if rem <= e.actTol[i] || rem <= r*timeEps {
+			e.completed = append(e.completed, e.act[i])
 		}
 	}
 	if len(e.completed) > 0 {
@@ -775,9 +823,6 @@ func (e *engine) advance() bool {
 				MatchedAt: f.matched, StartedAt: f.startAt, FinishedAt: e.clock,
 			})
 			e.removeActive(f)
-			if !e.dense {
-				e.detachFlow(f)
-			}
 		}
 		changed = true
 	}
@@ -786,12 +831,7 @@ func (e *engine) advance() bool {
 	for !e.cal.empty() && e.cal.top().at <= e.clock+timeEps {
 		ev := e.cal.pop()
 		if ev.f != nil {
-			ev.f.active = true
-			ev.f.actIdx = len(e.act)
-			e.act = append(e.act, ev.f)
-			if !e.dense {
-				e.attachFlow(ev.f)
-			}
+			e.activate(ev.f)
 			changed = true
 		} else if ev.op != nil {
 			e.completeOp(ev.op, nil)
@@ -804,15 +844,50 @@ func (e *engine) advance() bool {
 	return true
 }
 
-// removeActive deletes a flow from the active set in O(1). Caller holds e.mu.
+// activate adds a flow whose startup latency has elapsed to the active set
+// (and, under the fast solver, to its path aggregate). Caller holds e.mu.
+func (e *engine) activate(f *flow) {
+	f.actIdx = len(e.act)
+	e.act = append(e.act, f)
+	e.actRemain = append(e.actRemain, f.size)
+	rate := 0.0
+	if len(f.path) == 0 {
+		// A self-message crosses no link; its first solve would give it
+		// this rate, and it completes at the first event after that solve.
+		rate = selfRate(f.size)
+	}
+	e.actRate = append(e.actRate, rate)
+	e.actTol = append(e.actTol, timeEps*math.Max(1, f.size))
+	step := int32(noStep)
+	if !e.dense {
+		e.attachFlow(f)
+		if f.agg != nil {
+			step = f.agg.step
+		}
+	}
+	e.actStep = append(e.actStep, step)
+}
+
+// removeActive deletes a flow from the active set (and its aggregate) in
+// O(1). Caller holds e.mu.
 func (e *engine) removeActive(f *flow) {
-	last := len(e.act) - 1
+	if !e.dense {
+		e.detachFlow(f)
+	}
+	i, last := f.actIdx, len(e.act)-1
 	moved := e.act[last]
-	e.act[f.actIdx] = moved
-	moved.actIdx = f.actIdx
+	e.act[i] = moved
+	moved.actIdx = i
 	e.act[last] = nil
 	e.act = e.act[:last]
-	f.active = false
+	e.actRemain[i] = e.actRemain[last]
+	e.actRemain = e.actRemain[:last]
+	e.actRate[i] = e.actRate[last]
+	e.actRate = e.actRate[:last]
+	e.actTol[i] = e.actTol[last]
+	e.actTol = e.actTol[:last]
+	e.actStep[i] = e.actStep[last]
+	e.actStep = e.actStep[:last]
 }
 
 // efficiency returns the effective fraction of raw link capacity available
